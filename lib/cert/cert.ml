@@ -181,22 +181,41 @@ let chop_prefix ~prefix s =
     Some (String.sub s (String.length prefix) (String.length s - String.length prefix))
   else None
 
+(* Separators are found by comparing in place, and assertions are parsed
+   by bounds within their line: nothing is copied but the names. *)
+
+(* Does [sep] occur in [s] at [i]? *)
+let rec matches sep s i k =
+  k = String.length sep || (s.[i + k] = sep.[k] && matches sep s i (k + 1))
+
+let occurs_at sep s i = i + String.length sep <= String.length s && matches sep s i 0
+
+(* The first occurrence of [sep] in [s] within [[i, stop)], or [-1].
+   Candidates are found by jumping to the separator's first non-blank
+   character, which is rare in certificate text. *)
+let rec scan sep off s k last =
+  if k > last then -1
+  else if s.[k] = sep.[off] && matches sep s (k - off) 0 then k - off
+  else scan sep off s (k + 1) last
+
+let find_sep sep s i stop =
+  let off = if String.length sep > 1 && sep.[0] = ' ' then 1 else 0 in
+  scan sep off s (i + off) (stop - String.length sep + off)
+
 (* Split on a multi-character separator (atoms contain no separator
    substrings, so this is unambiguous). *)
 let split_str sep s =
-  let m = String.length sep in
-  let n = String.length s in
-  let rec find i =
-    if i + m > n then None
-    else if String.equal (String.sub s i m) sep then Some i
-    else find (i + 1)
-  in
+  let m = String.length sep and n = String.length s in
   let rec go start acc =
-    match find start with
-    | None -> List.rev (String.sub s start (n - start) :: acc)
-    | Some i -> go (i + m) (String.sub s start (i - start) :: acc)
+    match find_sep sep s start n with
+    | -1 -> List.rev (String.sub s start (n - start) :: acc)
+    | i -> go (i + m) (String.sub s start (i - start) :: acc)
   in
   go 0 []
+
+(* No ' ', '(' or ')' in [s] within [[k, stop)]. *)
+let rec clean s k stop =
+  k >= stop || ((not (s.[k] = ' ' || s.[k] = '(' || s.[k] = ')')) && clean s (k + 1) stop)
 
 let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
 
@@ -302,55 +321,61 @@ let parse_exn text =
       | _ -> fail ln "malformed node count")
     | None -> fail ln "expected \"nodes: <count>\""
   in
-  (* Class expressions and assertions. *)
-  let parse_part ln s =
-    if String.equal s "local" then Cexpr.Local
-    else if String.equal s "global" then Cexpr.Global
+  (* Class expressions and assertions, each given by its bounds
+     [[i, j)] within the line [s]. *)
+  let parse_part ln s i j =
+    let len = j - i in
+    if len = 5 && occurs_at "local" s i then Cexpr.Local
+    else if len = 6 && occurs_at "global" s i then Cexpr.Global
     else
-      let inner prefix =
-        match chop_prefix ~prefix s with
-        | Some rest
-          when String.length rest > 0 && rest.[String.length rest - 1] = ')' ->
-          let v = String.sub rest 0 (String.length rest - 1) in
-          if
-            v <> ""
-            && not (String.exists (fun c -> c = ' ' || c = '(' || c = ')') v)
-          then Some v
-          else None
-        | _ -> None
+      (* [prefix] then a name free of ' ', '(' and ')', then ')'. *)
+      let name prefix =
+        let a = i + String.length prefix and b = j - 1 in
+        if a < b && occurs_at prefix s i && s.[b] = ')' && clean s a b then
+          Some (String.sub s a (b - a))
+        else None
       in
-      match inner "cls(" with
+      match name "cls(" with
       | Some v -> Cexpr.Cls v
       | None -> (
-        match inner "const(" with
+        match name "const(" with
         | Some c -> Cexpr.Const (element ln c)
         | None ->
-          fail ln (Printf.sprintf "malformed class expression part %S" s))
+          fail ln
+            (Printf.sprintf "malformed class expression part %S" (String.sub s i len)))
   in
-  let parse_cexpr ln s =
-    match split_str " + " s with
-    | [] -> fail ln "empty class expression"
-    | first :: rest ->
-      List.fold_left
-        (fun acc p -> Cexpr.Join (acc, parse_part ln p))
-        (parse_part ln first) rest
+  let parse_cexpr ln s i j =
+    let rec joins acc start =
+      match find_sep " + " s start j with
+      | -1 -> Cexpr.Join (acc, parse_part ln s start j)
+      | k -> joins (Cexpr.Join (acc, parse_part ln s start k)) (k + 3)
+    in
+    match find_sep " + " s i j with
+    | -1 -> parse_part ln s i j
+    | k -> joins (parse_part ln s i k) (k + 3)
   in
-  let parse_assertion ln s =
+  let parse_atom ln s i j =
+    match find_sep " <= " s i j with
+    | k when k >= 0 && find_sep " <= " s (k + 4) j < 0 ->
+      (* The right-hand side first, as the error it reports is pinned. *)
+      let rhs = parse_cexpr ln s (k + 4) j in
+      Assertion.atom (parse_cexpr ln s i k) rhs
+    | _ ->
+      fail ln
+        (Printf.sprintf "malformed atom %S (expected \"e1 <= e2\")"
+           (String.sub s i (j - i)))
+  in
+  (* The assertion [{...}] filling [s] from [start]. *)
+  let parse_assertion ln s start =
     let n = String.length s in
-    if n < 2 || s.[0] <> '{' || s.[n - 1] <> '}' then
+    if n - start < 2 || s.[start] <> '{' || s.[n - 1] <> '}' then
       fail ln "assertion must be of the form {...}";
-    let inner = String.sub s 1 (n - 2) in
-    if String.equal inner "" then []
-    else
-      split_str "; " inner
-      |> List.map (fun atom ->
-             match split_str " <= " atom with
-             | [ lhs; rhs ] ->
-               Assertion.atom (parse_cexpr ln lhs) (parse_cexpr ln rhs)
-             | _ ->
-               fail ln
-                 (Printf.sprintf "malformed atom %S (expected \"e1 <= e2\")"
-                    atom))
+    let rec atoms acc i =
+      match find_sep "; " s i (n - 1) with
+      | -1 -> List.rev (parse_atom ln s i (n - 1) :: acc)
+      | k -> atoms (parse_atom ln s i k :: acc) (k + 2)
+    in
+    if n - start = 2 then [] else atoms [] (start + 1)
   in
   (* Node tree, preorder, paths checked against position. *)
   let rec parse_node path =
@@ -368,30 +393,29 @@ let parse_exn text =
     in
     let ln2, l2 = next "pre assertion" in
     let pre =
-      match chop_prefix ~prefix:"  pre: " l2 with
-      | Some a -> parse_assertion ln2 a
-      | None -> fail ln2 "expected \"  pre: {...}\""
+      if String.starts_with ~prefix:"  pre: " l2 then parse_assertion ln2 l2 7
+      else fail ln2 "expected \"  pre: {...}\""
     in
     let ln3, l3 = next "post assertion" in
     let post =
-      match chop_prefix ~prefix:"  post: " l3 with
-      | Some a -> parse_assertion ln3 a
-      | None -> fail ln3 "expected \"  post: {...}\""
+      if String.starts_with ~prefix:"  post: " l3 then parse_assertion ln3 l3 8
+      else fail ln3 "expected \"  post: {...}\""
     in
     let children = ref [] in
+    let count = ref 0 in
     let continue = ref true in
     while !continue do
-      let child_path = path ^ "." ^ string_of_int (List.length !children) in
+      let child_path = path ^ "." ^ string_of_int !count in
       match peek () with
       | Some l when String.starts_with ~prefix:("node " ^ child_path ^ ": ") l ->
-        children := parse_node child_path :: !children
+        children := parse_node child_path :: !children;
+        incr count
       | _ -> continue := false
     done;
     let children = List.rev !children in
-    if not (arity_ok kind (List.length children)) then
+    if not (arity_ok kind !count) then
       fail ln
-        (Printf.sprintf "rule %s requires %s, found %d" rule (arity_text kind)
-           (List.length children));
+        (Printf.sprintf "rule %s requires %s, found %d" rule (arity_text kind) !count);
     { kind; pre; post; children }
   in
   let root = parse_node "0" in

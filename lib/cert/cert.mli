@@ -84,3 +84,13 @@ val parse : string -> (t, parse_error) result
     structured [Error]; no exception escapes. *)
 
 val pp_parse_error : Format.formatter -> parse_error -> unit
+
+(** {2 Line-grammar helpers, shared with the linked format} *)
+
+val chop_prefix : prefix:string -> string -> string option
+(** [chop_prefix ~prefix s] is the rest of [s] after [prefix], if [s]
+    starts with it. *)
+
+val split_str : string -> string -> string list
+(** [split_str sep s] splits [s] on every occurrence of [sep], scanning
+    left to right; separators are matched in place. *)

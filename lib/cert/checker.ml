@@ -6,12 +6,12 @@
 
 module Lattice = Ifc_lattice.Lattice
 module Ast = Ifc_lang.Ast
-module Pretty = Ifc_lang.Pretty
 module Vars = Ifc_lang.Vars
 module Binding = Ifc_core.Binding
 module Assertion = Ifc_logic.Assertion
 module Cexpr = Ifc_logic.Cexpr
 module Entail = Ifc_logic.Entail
+module Interference = Ifc_logic.Interference
 
 type failure = { path : string; rule : string; reason : string }
 
@@ -100,29 +100,20 @@ let check (c : Cert.t) (program : Ast.program) =
         List.combine ns bs
       | _ -> []
     in
+    (* A branch's write actions, in reverse walk order (each node's own
+       writes keep their order). *)
     let rec collect_actions (n, (s : Ast.stmt)) acc =
       match (n.Cert.kind, s.Ast.node) with
-      | Cert.K_assign, Ast.Assign (x, e) ->
-        (n, x, Cexpr.of_expr lat e, s) :: acc
-      | Cert.K_assign, Ast.Declassify (x, _, cls) ->
-        (n, x, Cexpr.Const (elem cls), s) :: acc
-      | Cert.K_assign, Ast.Store (a, i, e) ->
-        ( n,
-          a,
-          Cexpr.Join
-            (Cexpr.Cls a, Cexpr.Join (Cexpr.of_expr lat i, Cexpr.of_expr lat e)),
-          s )
-        :: acc
-      | Cert.K_wait, Ast.Wait sem | Cert.K_signal, Ast.Signal sem ->
-        (n, sem, Cexpr.Cls sem, s) :: acc
-      | Cert.K_send, Ast.Send (chan, e) ->
-        (* A send writes the channel: old contents persist and the
-           payload joins in. *)
-        (n, chan, Cexpr.Join (Cexpr.Cls chan, Cexpr.of_expr lat e), s) :: acc
-      | Cert.K_recv, Ast.Recv (chan, x) ->
-        (* A recv writes both the target and the channel, each bounded
-           by the channel's class. *)
-        (n, x, Cexpr.Cls chan, s) :: (n, chan, Cexpr.Cls chan, s) :: acc
+      | Cert.K_assign, (Ast.Assign _ | Ast.Declassify _ | Ast.Store _)
+      | Cert.K_wait, Ast.Wait _
+      | Cert.K_signal, Ast.Signal _
+      | Cert.K_send, Ast.Send _
+      | Cert.K_recv, Ast.Recv _ ->
+        List.map
+          (fun (var, written) ->
+            { Interference.stmt = s; pre = n.Cert.pre; var; written })
+          (Interference.writes lat s)
+        @ acc
       | _ ->
         List.fold_left
           (fun acc pair -> collect_actions pair acc)
@@ -133,40 +124,13 @@ let check (c : Cert.t) (program : Ast.program) =
       :: List.fold_left (fun a ch -> all_assertions ch a) acc n.Cert.children
     in
     (* Interference freedom for the concurrency rule: every assertion of
-       branch [i] must be preserved by every write action of a sibling,
-       with the acting process's certification variables approximated by
-       the bounds in the action's precondition. *)
+       branch [i] must be preserved by every write action of a sibling. *)
     let interference_free path pairs =
-      List.iteri
-        (fun i (pi, _) ->
-          List.iteri
-            (fun j pair_j ->
-              if i <> j then
-                List.iter
-                  (fun (action, name, written_class, stmt) ->
-                    let bounds =
-                      match Assertion.triple_of lat action.Cert.pre with
-                      | Some { Assertion.l = lb; g = gb; _ } ->
-                        Cexpr.Join (lb, gb)
-                      | None -> Cexpr.Join (Cexpr.Local, Cexpr.Global)
-                    in
-                    let sigma =
-                      write_subst name (Cexpr.Join (written_class, bounds))
-                    in
-                    List.iter
-                      (fun r ->
-                        let r' = Assertion.subst sigma r in
-                        if not (entail (r @ action.Cert.pre) r') then
-                          fail path "concurrency"
-                            (Fmt.str
-                               "interference: %a not preserved by %s under %a"
-                               (Assertion.pp lat) r
-                               (Pretty.stmt_to_string stmt) (Assertion.pp lat)
-                               action.Cert.pre))
-                      (all_assertions pi []))
-                  (collect_actions pair_j []))
-            pairs)
-        pairs
+      Interference.violations lat
+        (List.map
+           (fun ((n, _) as pair) -> (all_assertions n [], collect_actions pair []))
+           pairs)
+      |> List.iter (fail path "concurrency")
     in
     let rec go path (n : Cert.node) (s : Ast.stmt) =
       match (n.Cert.kind, n.Cert.children, s.Ast.node) with

@@ -9,9 +9,13 @@
     designated widening points — loop heads — which bounds the number of
     times any node can be revisited.
 
-    The iteration order is configurable ({!solve}'s [order]): the
-    fixpoint of a monotone problem is independent of the order in which
-    the worklist is drained, and the test suite holds the solver to
+    The worklist is drained along a weak topological ordering of the
+    graph (Bourdoncle): a loop head is widened only once all of its
+    forward predecessors have arrived, and each loop stabilises before
+    anything downstream sees it. Widening makes the result depend on the
+    schedule in general; this one fixes it up to interleavings of parts
+    of the graph that do not reach each other, so the result does not
+    depend on {!solve}'s [order], and the test suite holds the solver to
     exactly that. *)
 
 module type DOMAIN = sig
@@ -59,6 +63,7 @@ module Make (D : DOMAIN) : sig
   (** [solve g ~init] returns the fixpoint state at every node. In the
       forward direction the state at [n] is the join over incoming edges
       [(u, f, n)] of [f state(u)]; backward flips every edge. [order]
-      assigns each node a priority (smaller pops first) — any total
-      function yields the same fixpoint, only [stats] may differ. *)
+      assigns each node a priority that breaks ties in the ordering
+      (smaller runs first) — any total function yields the same
+      fixpoint, only [stats] may differ. *)
 end

@@ -27,17 +27,19 @@ let lt l x y = l.leq x y && not (l.equal x y)
 
 let comparable l x y = l.leq x y || l.leq y x
 
+(* The strict order is tabulated once, so the cubic search for elements
+   strictly between two others compares booleans: [leq] may be costly
+   (a stringified lattice parses both names on every call). *)
 let covers l =
-  let strictly_between x y z = lt l x z && lt l z y in
-  List.concat_map
-    (fun x ->
-      List.filter_map
-        (fun y ->
-          if lt l x y && not (List.exists (strictly_between x y) l.elements)
-          then Some (x, y)
-          else None)
-        l.elements)
-    l.elements
+  let xs = Array.of_list l.elements in
+  let n = Array.length xs in
+  let lt = Array.map (fun x -> Array.map (fun y -> lt l x y) xs) xs in
+  let rec between i j k = k < n && ((lt.(i).(k) && lt.(k).(j)) || between i j (k + 1)) in
+  List.concat
+    (List.init n (fun i ->
+         List.filter_map
+           (fun j -> if lt.(i).(j) && not (between i j 0) then Some (xs.(i), xs.(j)) else None)
+           (List.init n Fun.id)))
 
 let height l =
   (* Longest chain via memoised depth over the covering DAG. *)
@@ -83,14 +85,23 @@ let dual ?name l =
   }
 
 let stringify l =
+  (* Element names are looked up rather than parsed: operations on the
+     stringified scheme run in the proof and certificate inner loops.
+     The table is only read after it is built, so domains share it. *)
+  let names = List.map l.to_string l.elements in
+  let by_name = Hashtbl.create (List.length names) in
+  List.iter2 (Hashtbl.replace by_name) names l.elements;
   let parse s =
-    match l.of_string s with
-    | Ok x -> x
-    | Error msg -> invalid_arg ("Lattice.stringify: " ^ msg)
+    match Hashtbl.find_opt by_name s with
+    | Some x -> x
+    | None -> (
+      match l.of_string s with
+      | Ok x -> x
+      | Error msg -> invalid_arg ("Lattice.stringify: " ^ msg))
   in
   {
     name = l.name;
-    elements = List.map l.to_string l.elements;
+    elements = names;
     equal = String.equal;
     compare = String.compare;
     leq = (fun a b -> l.leq (parse a) (parse b));
@@ -162,9 +173,17 @@ let make_from_order ~name ~elements ~leq ~to_string =
      typically table lookups. *)
   let arr = Array.of_list elements in
   let n = Array.length arr in
-  let index x =
+  let scan x =
     let rec go i = if i >= n then None else if equal arr.(i) x then Some i else go (i + 1) in
     go 0
+  in
+  (* Element names are unique (checked above), so an element is found by
+     its name in one lookup; values named outside the carrier are scanned
+     for. *)
+  let by_name = Hashtbl.create n in
+  Array.iter (fun x -> Hashtbl.replace by_name (to_string x) (scan x)) arr;
+  let index x =
+    match Hashtbl.find_opt by_name (to_string x) with Some i -> i | None -> scan x
   in
   let* join_table =
     let tbl = Array.make_matrix n n 0 in

@@ -80,5 +80,6 @@ val dual : ?name:string -> 'a t -> 'a t
 val stringify : 'a t -> string t
 (** [stringify l] is the same scheme with elements represented by their
     printed names — the uniform representation the CLI works with.
-    Operations parse on entry (O(|C|) per call via [of_string]), so this
-    is for driver-level code, not inner loops. *)
+    Operations look their arguments up by name (a hash of the name per
+    call; names outside the carrier go through [of_string]) and print
+    the results of [join] and [meet]. *)

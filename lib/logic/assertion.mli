@@ -17,6 +17,9 @@ val atom : 'a Cexpr.t -> 'a Cexpr.t -> 'a atom
 val subst : (Cexpr.sym -> 'a Cexpr.t option) -> 'a t -> 'a t
 (** Simultaneous substitution in both sides of every atom. *)
 
+val same_atom : 'a Ifc_lattice.Lattice.t -> 'a atom -> 'a atom -> bool
+(** Syntactic identity of both sides ({!Cexpr.same}). *)
+
 val equal : 'a Ifc_lattice.Lattice.t -> 'a t -> 'a t -> bool
 (** Equality up to atom normalization, atom order and duplication. *)
 

@@ -87,6 +87,16 @@ let equal (l : 'a Lattice.t) a b =
   && List.length na.atoms = List.length nb.atoms
   && List.for_all2 (fun x y -> compare_sym x y = 0) na.atoms nb.atoms
 
+let rec same (l : 'a Lattice.t) a b =
+  a == b
+  ||
+  match (a, b) with
+  | Const x, Const y -> l.Lattice.equal x y
+  | Cls x, Cls y -> String.equal x y
+  | Local, Local | Global, Global -> true
+  | Join (a1, a2), Join (b1, b2) -> same l a1 b1 && same l a2 b2
+  | (Const _ | Cls _ | Local | Global | Join _), _ -> false
+
 let pp_sym ppf = function
   | S_cls v -> Fmt.pf ppf "class(%s)" v
   | S_local -> Fmt.string ppf "local"

@@ -51,6 +51,10 @@ val of_normal : 'a normal -> 'a t
 val equal : 'a Ifc_lattice.Lattice.t -> 'a t -> 'a t -> bool
 (** Equality of normal forms. *)
 
+val same : 'a Ifc_lattice.Lattice.t -> 'a t -> 'a t -> bool
+(** Syntactic identity, constants compared with the lattice's [equal]. It
+    implies {!equal}. *)
+
 val compare_sym : sym -> sym -> int
 
 val pp : 'a Ifc_lattice.Lattice.t -> Format.formatter -> 'a t -> unit

@@ -7,7 +7,7 @@ type error = { span : Ifc_lang.Loc.span; rule : string; reason : string }
 
 let pp_error ppf e = Fmt.pf ppf "%a: [%s] %s" Ifc_lang.Loc.pp e.span e.rule e.reason
 
-type entailer = [ `Syntactic | `Complete ]
+type entailer = Entail.entailer
 
 (* The substitution of the assignment-like axioms: the written symbol
    receives the written class joined with both certification variables. *)
@@ -17,20 +17,10 @@ let write_subst name rhs_of_name =
     | Cexpr.S_cls v when String.equal v name -> Some rhs_of_name
     | Cexpr.S_cls _ | Cexpr.S_local | Cexpr.S_global -> None
 
-let entails entailer (l : 'a Lattice.t) hyps goals =
-  match entailer with
-  | `Syntactic -> Entail.check l hyps goals
-  | `Complete -> (
-    match Entail.decide l hyps goals with
-    | Ok b -> b
-    | Error _ ->
-      (* Too many valuations: fall back to the sound checker. *)
-      Entail.check l hyps goals)
-
 let check ?(entailer = `Syntactic) ?(interference = `Check) (l : 'a Lattice.t) proof =
   let errors = ref [] in
   let err span rule reason = errors := { span; rule; reason } :: !errors in
-  let entail = entails entailer l in
+  let entail = Entail.entails entailer l in
   let expect_equal span rule what p q =
     if not (Assertion.equal l p q) then
       err span rule
@@ -50,64 +40,27 @@ let check ?(entailer = `Syntactic) ?(interference = `Check) (l : 'a Lattice.t) p
       None
   in
   (* Interference freedom for the concurrency rule: every assertion of
-     proof [i] must be preserved by every write action of a sibling proof.
-     The acting process's own certification variables are approximated by
-     the bounds in the action's precondition — the paper's "indirect flows
-     in one process do not affect indirect flows in another". *)
-  let actions p =
-    List.concat_map
-      (fun (n : 'a Proof.t) ->
-        match (n.rule, n.stmt.Ast.node) with
-        | Proof.Axiom_assign, Ast.Assign (x, e) ->
-          [ (n, x, Cexpr.of_expr l e) ]
-        | Proof.Axiom_assign, Ast.Declassify (x, _, cls) ->
-          let named =
-            match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
-          in
-          [ (n, x, Cexpr.Const named) ]
-        | Proof.Axiom_assign, Ast.Store (a, i, e) ->
-          [ (n, a, Cexpr.Join (Cexpr.Cls a, Cexpr.Join (Cexpr.of_expr l i, Cexpr.of_expr l e))) ]
-        | Proof.Axiom_wait, Ast.Wait sem | Proof.Axiom_signal, Ast.Signal sem ->
-          [ (n, sem, Cexpr.Cls sem) ]
-        | Proof.Axiom_send, Ast.Send (chan, e) ->
-          (* A send writes the channel: old contents persist (weak
-             update) and the payload joins in. *)
-          [ (n, chan, Cexpr.Join (Cexpr.Cls chan, Cexpr.of_expr l e)) ]
-        | Proof.Axiom_recv, Ast.Recv (chan, x) ->
-          (* A recv writes both the target (the delivered message, whose
-             class the channel bounds) and the channel. *)
-          [ (n, x, Cexpr.Cls chan); (n, chan, Cexpr.Cls chan) ]
-        | _ -> [])
-      (Proof.nodes p)
+     proof [i] must be preserved by every write action of a sibling
+     proof. *)
+  let writes (n : 'a Proof.t) =
+    match (n.rule, n.stmt.Ast.node) with
+    | Proof.Axiom_assign, (Ast.Assign _ | Ast.Declassify _ | Ast.Store _)
+    | Proof.Axiom_wait, Ast.Wait _
+    | Proof.Axiom_signal, Ast.Signal _
+    | Proof.Axiom_send, Ast.Send _
+    | Proof.Axiom_recv, Ast.Recv _ ->
+      List.map
+        (fun (var, written) ->
+          { Interference.stmt = n.stmt; pre = n.pre; var; written })
+        (Interference.writes l n.stmt)
+    | _ -> []
   in
   let interference_free span proofs =
-    List.iteri
-      (fun i pi ->
-        List.iteri
-          (fun j pj ->
-            if i <> j then
-              List.iter
-                (fun (action, name, written_class) ->
-                  let bounds =
-                    match Assertion.triple_of l action.Proof.pre with
-                    | Some { Assertion.l = lb; g = gb; _ } -> Cexpr.Join (lb, gb)
-                    | None -> Cexpr.Join (Cexpr.Local, Cexpr.Global)
-                  in
-                  let sigma = write_subst name (Cexpr.Join (written_class, bounds)) in
-                  List.iter
-                    (fun r ->
-                      let r' = Assertion.subst sigma r in
-                      if not (entail (r @ action.Proof.pre) r') then
-                        err span "concurrency"
-                          (Fmt.str
-                             "interference: %a not preserved by %s under %a"
-                             (Assertion.pp l) r
-                             (Ifc_lang.Pretty.stmt_to_string action.Proof.stmt)
-                             (Assertion.pp l) action.Proof.pre))
-                    (Proof.assertions pi))
-                (actions pj))
-          proofs)
-      proofs
+    Interference.violations ~entailer l
+      (List.map
+         (fun p -> (Proof.assertions p, List.concat_map writes (Proof.nodes p)))
+         proofs)
+    |> List.iter (err span "concurrency")
   in
   let rec go (p : 'a Proof.t) =
     let span = p.stmt.Ast.span in

@@ -16,7 +16,7 @@ type error = { span : Ifc_lang.Loc.span; rule : string; reason : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-type entailer = [ `Syntactic | `Complete ]
+type entailer = Entail.entailer
 (** Which entailment procedure discharges side conditions: the sound
     syntactic checker (default; validates everything the generator emits)
     or the complete-but-exponential decider (small proofs only). *)
@@ -28,6 +28,13 @@ val check :
   'a Proof.t ->
   (unit, error list) result
 (** [check l p] validates the derivation [p]. [`Trust] skips the
-    (quadratic) interference-freedom check of the concurrency rule. *)
+    interference-freedom check of the concurrency rule ({!Interference}).
+    For a [cobegin] whose processes hold [A] assertions and [W] writes in
+    all, that check visits at most [A * W] (assertion, sibling write)
+    pairs; each costs a table lookup, and only each distinct pair of a
+    syntactically distinct assertion and a write costs a derivation, of
+    the assertion's atoms that mention the written variable. The other
+    rules cost time near-linear in the size of the assertions they
+    compare. *)
 
 val valid : ?entailer:entailer -> 'a Ifc_lattice.Lattice.t -> 'a Proof.t -> bool

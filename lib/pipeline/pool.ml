@@ -78,8 +78,52 @@ let shutdown t =
   in
   List.iter Domain.join to_join
 
-let run ?on_error ~workers tasks =
-  let t = create ?on_error ~workers () in
-  Fun.protect
-    ~finally:(fun () -> shutdown t)
-    (fun () -> List.iter (submit t) tasks)
+(* Single-domain pools kept between [run] calls. OCaml 5.1 is slow to
+   reclaim the heap of a domain that has terminated, so a process that
+   spawns and joins domains for every short batch grows a major heap
+   several times its live data. [run] borrows pools from [idle],
+   creating the ones it lacks, and gives them back when its tasks are
+   done: the process keeps as many domains as the most [run] workers
+   ever busy at once. *)
+let idle = ref []
+let idle_mutex = Mutex.create ()
+
+let give_back pools = Mutex.protect idle_mutex (fun () -> idle := pools @ !idle)
+
+let borrow k =
+  let reused =
+    Mutex.protect idle_mutex (fun () ->
+        let reused = Ifc_support.Listx.take k !idle in
+        idle := Ifc_support.Listx.drop k !idle;
+        reused)
+  in
+  match List.init (k - List.length reused) (fun _ -> create ~workers:1 ()) with
+  | fresh -> reused @ fresh
+  | exception exn ->
+    give_back reused;
+    raise exn
+
+let run ?(on_error = fun ~worker:_ _ -> ()) ~workers tasks =
+  if workers < 1 then invalid_arg "Pool.run: workers must be >= 1";
+  let queue = Queue.of_seq (List.to_seq tasks) in
+  let drainers = min workers (Queue.length queue) in
+  let mutex = Mutex.create () and finished = Condition.create () and done_ = ref 0 in
+  (* Each borrowed pool runs one drainer, which takes this call's tasks
+     until none is left, under this call's exception barrier. *)
+  let rec drain index () =
+    match Mutex.protect mutex (fun () -> Queue.take_opt queue) with
+    | None ->
+      Mutex.protect mutex (fun () ->
+          incr done_;
+          Condition.signal finished)
+    | Some task ->
+      (try task () with exn -> ( try on_error ~worker:index exn with _ -> ()));
+      drain index ()
+  in
+  let pools = borrow drainers in
+  List.iteri (fun index pool -> submit pool (drain index)) pools;
+  Mutex.protect mutex (fun () ->
+      while !done_ < drainers do
+        Condition.wait finished mutex
+      done);
+  give_back pools

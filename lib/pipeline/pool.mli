@@ -33,5 +33,12 @@ val shutdown : t -> unit
 
 val run : ?on_error:(worker:int -> exn -> unit) -> workers:int ->
   (unit -> unit) list -> unit
-(** [run ~workers tasks] is a one-shot pool: create, submit all, shut
-    down. *)
+(** [run ~workers tasks] runs [tasks] in FIFO order on at most [workers]
+    domains at once, under the same exception barrier ([worker] is in
+    [[0, workers)]), and returns when all have finished. Its domains
+    are single-worker pools that outlive the call and are reused by
+    later calls: a process keeps as many as the most [run] workers ever
+    busy at once, because OCaml 5.1 reclaims the heap of a terminated
+    domain slowly. Idle domains still take part in every minor
+    collection, which slows allocation-heavy code on other domains.
+    @raise Invalid_argument if [workers < 1]. *)

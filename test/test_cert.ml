@@ -289,6 +289,18 @@ let test_paper_programs_certify () =
   check "most paper programs are provable at the all-low binding" true
     (!provable >= 5)
 
+(* A certificate bound in the MLS lattice carries element names with
+   commas in its lattice lines; it must parse back and check. *)
+let test_mls_certificate_roundtrip () =
+  let mls = Lattice.stringify Ifc_lattice.Mls.standard in
+  let program =
+    parse_program_exn "var x, y : integer;\ncobegin x := 1 || y := x coend"
+  in
+  let binding =
+    Binding.make mls [ ("x", "confidential:{NUC,ASI}"); ("y", "secret:{NUC,EUR,ASI}") ]
+  in
+  emit_and_check "mls" binding program
+
 let corpus_dir = Filename.concat "corpus" "fuzz"
 
 let test_corpus_provable_entries_certify () =
@@ -327,6 +339,8 @@ let suite =
         test_tamper_binding_forgery;
       decide_matches_cert_accept;
       reemission_canonical;
+      Alcotest.test_case "mls certificate round-trip" `Quick
+        test_mls_certificate_roundtrip;
       Alcotest.test_case "paper programs emit-and-check" `Quick
         test_paper_programs_certify;
       Alcotest.test_case "corpus provable entries emit-and-check" `Quick

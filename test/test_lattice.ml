@@ -220,6 +220,26 @@ let test_spec_roundtrip () =
             l.elements)
         l.elements)
 
+(* MLS element names carry commas ([topsecret:{NUC,ASI}]), which the
+   spec's comma-separated lists must not split: the emitted text parses
+   back to the same scheme, and re-emits byte for byte. *)
+let test_spec_roundtrip_mls () =
+  let l = Lattice.stringify Mls.standard in
+  let text = Spec.to_text l in
+  match Spec.parse text with
+  | Error e -> Alcotest.fail ("reparse failed: " ^ e)
+  | Ok l2 ->
+    Alcotest.(check (list string)) "same elements" l.elements l2.elements;
+    List.iter
+      (fun x ->
+        List.iter
+          (fun y ->
+            check "same order" (l.leq x y) (l2.leq x y);
+            Alcotest.(check string) "same join" (l.join x y) (l2.join x y))
+          l.elements)
+      l.elements;
+    Alcotest.(check string) "re-emitted byte for byte" text (Spec.to_text l2)
+
 let test_spec_errors () =
   let cases =
     [
@@ -233,7 +253,14 @@ let test_spec_errors () =
   in
   List.iter
     (fun (name, text) -> check name true (Result.is_error (Spec.parse text)))
-    cases
+    cases;
+  (* A stray '}' leaves the commas after it splitting the clause. *)
+  Alcotest.(check (result pass string))
+    "stray brace" (Error "l: order mentions undeclared element in a} < b")
+    (Spec.parse "lattice l\nelements: a b c d\norder: a} < b, c < d");
+  match Spec.parse "lattice l\nelements: a} b c\norder: a} < b, b < c" with
+  | Error e -> Alcotest.fail e
+  | Ok l -> check_int "stray brace chain height" 2 (Lattice.height l)
 
 let test_spec_single_element () =
   match Spec.parse "lattice one\nelements: only" with
@@ -251,6 +278,25 @@ let test_covers_and_height () =
   check_int "chain height" 3 (Lattice.height l);
   check_int "powerset height" 3 (Lattice.height cats);
   check_int "powerset covers" 12 (List.length (Lattice.covers cats))
+
+(* The stringified scheme, which looks names up instead of parsing
+   them, is the same scheme: same order, joins, meets and covers. *)
+let test_stringify_agrees () =
+  let l = Mls.standard in
+  let s = Lattice.stringify l and name = l.to_string in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          check "leq" (l.leq x y) (s.leq (name x) (name y));
+          check_string "join" (name (l.join x y)) (s.join (name x) (name y));
+          check_string "meet" (name (l.meet x y)) (s.meet (name x) (name y)))
+        l.elements)
+    l.elements;
+  Alcotest.(check (list (pair string string)))
+    "covers, in order"
+    (List.map (fun (x, y) -> (name x, name y)) (Lattice.covers l))
+    (Lattice.covers s)
 
 let test_dual () =
   let l = Chain.four in
@@ -338,9 +384,11 @@ let suite =
         test_laws_catch_broken_lattice;
       Alcotest.test_case "spec diamond" `Quick test_spec_diamond;
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
+      Alcotest.test_case "spec roundtrip mls" `Quick test_spec_roundtrip_mls;
       Alcotest.test_case "spec errors" `Quick test_spec_errors;
       Alcotest.test_case "spec single element" `Quick test_spec_single_element;
       Alcotest.test_case "covers and height" `Quick test_covers_and_height;
+      Alcotest.test_case "stringify agrees" `Quick test_stringify_agrees;
       Alcotest.test_case "dual (integrity)" `Quick test_dual;
       Alcotest.test_case "joins/meets of empty" `Quick test_joins_meets_empty;
       Alcotest.test_case "make_from_order rejects non-lattice" `Quick

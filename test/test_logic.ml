@@ -17,6 +17,9 @@ module Proof = Ifc_logic.Proof
 module Check = Ifc_logic.Check
 module Generate = Ifc_logic_gen.Generate
 module Invariance = Ifc_logic_gen.Invariance
+module Interference = Ifc_logic.Interference
+module Cert = Ifc_cert.Cert
+module Checker = Ifc_cert.Checker
 
 let check = Alcotest.(check bool)
 
@@ -179,19 +182,20 @@ let test_decide_limit () =
   let many = List.init 40 (fun i -> atom (Cexpr.Cls (Printf.sprintf "v%d" i)) (Cexpr.Const low)) in
   check "limit reported" true (Result.is_error (Entail.decide ~max_valuations:100 two many many))
 
+let gen_cexpr =
+  QCheck.Gen.(
+    sized_size (int_bound 4) (fix (fun self n ->
+        if n <= 0 then
+          oneof
+            [ map (fun b -> Cexpr.Const (if b then high else low)) bool;
+              oneofl [ Cexpr.Cls "x"; Cexpr.Cls "y"; Cexpr.Local; Cexpr.Global ] ]
+        else map2 (fun a b -> Cexpr.Join (a, b)) (self (n / 2)) (self (n / 2)))))
+
+let gen_assertion =
+  QCheck.Gen.(list_size (int_bound 4) (map2 atom gen_cexpr gen_cexpr))
+
 (* qcheck: the syntactic checker is sound w.r.t. the complete decider. *)
 let qcheck_entail_sound =
-  let gen_cexpr =
-    QCheck.Gen.(
-      sized_size (int_bound 4) (fix (fun self n ->
-          if n <= 0 then
-            oneof
-              [ map (fun b -> Cexpr.Const (if b then high else low)) bool;
-                oneofl [ Cexpr.Cls "x"; Cexpr.Cls "y"; Cexpr.Local; Cexpr.Global ] ]
-          else map2 (fun a b -> Cexpr.Join (a, b)) (self (n / 2)) (self (n / 2)))))
-  in
-  let gen_atom = QCheck.Gen.map2 atom gen_cexpr gen_cexpr in
-  let gen_assertion = QCheck.Gen.(list_size (int_bound 4) gen_atom) in
   let arb = QCheck.make QCheck.Gen.(pair gen_assertion gen_assertion) in
   QCheck.Test.make ~name:"syntactic entailment sound wrt complete" ~count:1000 arb
     (fun (hyps, goals) ->
@@ -200,6 +204,65 @@ let qcheck_entail_sound =
         | Ok b -> b
         | Error _ -> QCheck.assume_fail ()
       else true)
+  |> QCheck_alcotest.to_alcotest
+
+(* The derivation search as it was before hypotheses were indexed:
+   every hypothesis re-normalized for every goal symbol. *)
+let naive_entail (l : 'a Lattice.t) hyps goals =
+  let rec derive_atom visited atom (goal : 'a Cexpr.normal) =
+    match atom with
+    | `Const c -> l.Lattice.leq c goal.Cexpr.const
+    | `Sym s ->
+      List.mem s goal.Cexpr.atoms
+      || (not (List.mem s visited))
+         && List.exists
+              (fun (h : 'a Assertion.atom) ->
+                List.mem s (Cexpr.normalize l h.Assertion.lhs).Cexpr.atoms
+                && derive_expr (s :: visited) h.Assertion.rhs goal)
+              hyps
+  and derive_expr visited e goal =
+    let n = Cexpr.normalize l e in
+    derive_atom visited (`Const n.Cexpr.const) goal
+    && List.for_all (fun s -> derive_atom visited (`Sym s) goal) n.Cexpr.atoms
+  in
+  List.for_all
+    (fun (g : 'a Assertion.atom) ->
+      derive_expr [] g.Assertion.lhs (Cexpr.normalize l g.Assertion.rhs))
+    goals
+
+(* Goals are also drawn as variants of the hypotheses (a prefix of them
+   kept in place), which is the shape the position-by-position shortcut
+   serves. *)
+let qcheck_entail_indexed =
+  QCheck.Test.make ~name:"indexed entailment agrees with the naive derivation"
+    ~count:2000
+    (QCheck.make QCheck.Gen.(triple gen_assertion gen_assertion small_nat))
+    (fun (hyps, goals, k) ->
+      let variant = List.filteri (fun i _ -> i < k mod 5) hyps @ goals in
+      List.for_all
+        (fun goals -> Entail.check two hyps goals = naive_entail two hyps goals)
+        [ goals; hyps; variant ])
+  |> QCheck_alcotest.to_alcotest
+
+(* Assertion equality is equality of the sets of normalized atoms, also
+   when one side is a reordering or a partial rewrite of the other. *)
+let qcheck_assertion_equal =
+  let key (a : int Assertion.atom) =
+    let n e =
+      let n = Cexpr.normalize two e in
+      (n.Cexpr.const, n.Cexpr.atoms)
+    in
+    (n a.Assertion.lhs, n a.Assertion.rhs)
+  in
+  let keys p = List.sort_uniq compare (List.map key p) in
+  QCheck.Test.make ~name:"assertion equality is equality of normalized atom sets"
+    ~count:2000
+    (QCheck.make QCheck.Gen.(triple gen_assertion gen_assertion small_nat))
+    (fun (p, q, k) ->
+      let variant = List.filteri (fun i _ -> i < k mod 5) p @ q in
+      List.for_all
+        (fun (p, q) -> Assertion.equal two p q = (keys p = keys q))
+        [ (p, q); (p, List.rev p); (p, variant); (p, p @ p) ])
   |> QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
@@ -352,11 +415,10 @@ let test_check_rejects_alternation_violations () =
   in
   check "disagreeing branch posts rejected" false (Check.valid two broken)
 
-let test_check_rejects_interference () =
-  (* Two processes sharing x: one asserts x <= low invariantly, the other
-     assigns high data to x. The concurrency rule's interference check
-     must refuse. *)
-  let s = stmt "cobegin y := x || x := h coend" in
+(* Two processes sharing x: one asserts x <= low invariantly, the other
+   assigns high data to x. [s] is [cobegin y := x || x := h coend]. *)
+let interference_proof (lat : 'a Lattice.t) s =
+  let low = lat.Lattice.bottom and high = lat.Lattice.top in
   let s1, s2 =
     match s.Ast.node with Ast.Cobegin [ a; b ] -> (a, b) | _ -> Alcotest.fail "shape"
   in
@@ -379,10 +441,12 @@ let test_check_rejects_interference () =
   let p2_post = tri v2 in
   let p2 = Proof.make ~pre:(sigma_x p2_post) ~stmt:s2 ~post:p2_post Proof.Axiom_assign in
   let p2 = Proof.make ~pre:(tri v2) ~stmt:s2 ~post:p2_post (Proof.Consequence p2) in
-  let whole =
-    Proof.make ~pre:(tri (v1 @ v2)) ~stmt:s ~post:(tri (v1 @ v2))
-      (Proof.Concurrency [ p1; p2 ])
-  in
+  Proof.make ~pre:(tri (v1 @ v2)) ~stmt:s ~post:(tri (v1 @ v2))
+    (Proof.Concurrency [ p1; p2 ])
+
+let test_check_rejects_interference () =
+  (* The concurrency rule's interference check must refuse. *)
+  let whole = interference_proof two (stmt "cobegin y := x || x := h coend") in
   (* The x <= low assertion in process 1 is NOT preserved by x := h. With
      the interference check on, the proof must fail; trusting it, the
      (unsound) proof would pass the remaining shape checks. *)
@@ -390,6 +454,157 @@ let test_check_rejects_interference () =
     (Result.is_ok (Check.check ~interference:`Check two whole));
   check "trust mode skips the check" true
     (Result.is_ok (Check.check ~interference:`Trust two whole))
+
+(* The independent certificate checker refuses the same proof, under the
+   concurrency rule, once it is serialized and parsed back. *)
+let test_cert_checker_rejects_interference () =
+  let lat = Lattice.stringify two in
+  let program =
+    match
+      Parser.parse_program "var x, y, h : integer;\ncobegin y := x || x := h coend"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse error: %a" Parser.pp_error e
+  in
+  let whole = interference_proof lat program.Ast.body in
+  let binding = Binding.make lat [ ("h", "high"); ("x", "low"); ("y", "low") ] in
+  let cert = Cert.of_proof ~binding ~program whole in
+  let concurrency fs =
+    List.filter_map
+      (fun (f : Checker.failure) ->
+        if f.Checker.rule = "concurrency" then Some (f.Checker.path, f.Checker.reason)
+        else None)
+      fs
+  in
+  (match Cert.parse (Cert.to_string cert) with
+  | Error e -> Alcotest.failf "certificate must parse: %a" Cert.pp_parse_error e
+  | Ok parsed -> (
+    match Checker.check parsed program with
+    | Ok () -> Alcotest.fail "interfering certificate accepted"
+    | Error fs -> (
+      (* Every assertion of process 1 mentions x, and x := h breaks each. *)
+      let found = concurrency fs in
+      Alcotest.(check int) "one failure per assertion of process 1" 4 (List.length found);
+      check "reported at the cobegin" true (List.for_all (fun (p, _) -> p = "0") found);
+      match found with
+      | (_, first) :: _ ->
+        Alcotest.(check string)
+          "message"
+          "interference: class(x) <= low, class(y) <= low, global <= low, local <= low \
+           not preserved by x := h under \nclass(h) <= high,\nglobal <= low,\n\
+           local (+) global (+) class(h) <= high,\nlocal <= low"
+          first
+      | [] -> Alcotest.fail "no concurrency failure")));
+  (* Without the text round trip the assertions keep their order, so the
+     two checkers report the same interference, word for word. *)
+  match (Check.check lat whole, Checker.check cert program) with
+  | Error es, Error fs ->
+    Alcotest.(check (list string))
+      "same interference messages"
+      (List.filter_map
+         (fun (e : Check.error) ->
+           if e.Check.rule = "concurrency" then Some e.Check.reason else None)
+         es)
+      (List.map snd (concurrency fs))
+  | _ -> Alcotest.fail "both checkers must reject"
+
+(* The interference obligation as the concurrency rule states it: the
+   whole of [r] re-derived after the write, from [r] and the write's
+   precondition. *)
+let interference_reference (l : 'a Lattice.t) r (w : 'a Interference.write) =
+  let bounds =
+    match Assertion.triple_of l w.Interference.pre with
+    | Some { Assertion.l = lb; g = gb; _ } -> Cexpr.Join (lb, gb)
+    | None -> Cexpr.Join (Cexpr.Local, Cexpr.Global)
+  in
+  let sigma = function
+    | Cexpr.S_cls v when v = w.Interference.var ->
+      Some (Cexpr.Join (w.Interference.written, bounds))
+    | _ -> None
+  in
+  Entail.check l (r @ w.Interference.pre) (Assertion.subst sigma r)
+
+let qcheck_interference_kernel =
+  let cert_free e =
+    not (List.exists (fun s -> s = Cexpr.S_local || s = Cexpr.S_global) (Cexpr.syms e))
+  in
+  (* Half of the preconditions are in {V,L,G} form, so both ways of
+     bounding the acting process's certification variables are hit. *)
+  let gen_pre =
+    QCheck.Gen.(
+      oneof
+        [ gen_assertion;
+          map3
+            (fun v lb gb ->
+              bounds_lg lb gb
+                (List.filter
+                   (fun (a : int Assertion.atom) ->
+                     cert_free a.Assertion.lhs && cert_free a.Assertion.rhs)
+                   v)
+              |> List.map (fun (a : int Assertion.atom) -> a))
+            gen_assertion (oneofl [ low; high ]) (oneofl [ low; high ]) ])
+  in
+  let gen_write =
+    QCheck.Gen.map3
+      (fun pre var written ->
+        { Interference.stmt = stmt "skip"; pre; var; written })
+      gen_pre (QCheck.Gen.oneofl [ "x"; "y"; "z" ]) gen_cexpr
+  in
+  QCheck.Test.make ~name:"interference kernel agrees with the full obligation"
+    ~count:2000
+    (QCheck.make QCheck.Gen.(pair gen_assertion gen_write))
+    (fun (r, w) -> Interference.preserved two r w = interference_reference two r w)
+  |> QCheck_alcotest.to_alcotest
+
+(* Both checkers run the one kernel, and the rest of their rules agree
+   too: on the Theorem-1 derivation of a random cobegin under a random
+   binding (so many are rejected), the proof checker and the
+   certificate checker report the same failures. The certificate
+   checker visits a process's writes and assertions in a different
+   order, so the lists are compared as multisets. *)
+let qcheck_checkers_agree_on_cobegin =
+  let lat = Lattice.stringify two in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun seed salt ->
+          let rng = Prng.create seed in
+          let branches =
+            List.init (2 + Prng.int rng 3) (fun _ ->
+                Gen.stmt rng Gen.default ~size:(1 + Prng.int rng 6))
+          in
+          let body = Ast.cobegin branches in
+          let binding =
+            Binding.make lat
+              (List.map
+                 (fun v ->
+                   (v, if Hashtbl.hash (salt, v) mod 3 = 0 then "high" else "low"))
+                 (Ifc_support.Sset.elements (Ifc_lang.Vars.all_vars body)))
+          in
+          ({ Ast.decls = []; body }, binding))
+        (int_bound 1_000_000) (int_bound 1_000_000))
+  in
+  let print (p, b) =
+    Fmt.str "%s@.binding: %a" (Ifc_lang.Pretty.program_to_string p) Binding.pp b
+  in
+  QCheck.Test.make ~name:"proof and certificate checkers agree on cobegin" ~count:200
+    (QCheck.make ~print gen)
+    (fun ((program : Ast.program), binding) ->
+      let proof = Generate.theorem1 binding program.Ast.body in
+      let of_check =
+        match Check.check lat proof with
+        | Ok () -> []
+        | Error es ->
+          List.map (fun (e : Check.error) -> (e.Check.rule, e.Check.reason)) es
+      in
+      let of_checker =
+        match Checker.check (Cert.of_proof ~binding ~program proof) program with
+        | Ok () -> []
+        | Error fs ->
+          List.map (fun (f : Checker.failure) -> (f.Checker.rule, f.Checker.reason)) fs
+      in
+      List.sort compare of_check = List.sort compare of_checker)
+  |> QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1 generator *)
@@ -572,6 +787,8 @@ let suite =
       Alcotest.test_case "decide complete" `Quick test_decide_complete;
       Alcotest.test_case "decide limit" `Quick test_decide_limit;
       qcheck_entail_sound;
+      qcheck_entail_indexed;
+      qcheck_assertion_equal;
       Alcotest.test_case "5.2 manual proof checks" `Quick test_check_52_manual_proof;
       Alcotest.test_case "checker rejects bogus axiom" `Quick
         test_check_rejects_bogus_axiom;
@@ -586,6 +803,10 @@ let suite =
         test_check_rejects_alternation_violations;
       Alcotest.test_case "checker detects interference" `Quick
         test_check_rejects_interference;
+      Alcotest.test_case "certificate checker detects interference" `Quick
+        test_cert_checker_rejects_interference;
+      qcheck_interference_kernel;
+      qcheck_checkers_agree_on_cobegin;
       Alcotest.test_case "generate simple certified" `Quick test_generate_simple_certified;
       Alcotest.test_case "generate uncertified fails" `Quick
         test_generate_uncertified_fails_check;

@@ -60,6 +60,43 @@ let test_pool_survives_raising_tasks () =
   check_int "non-raising tasks all ran" 40 (Atomic.get count);
   check_int "every raise was reported" 10 (Atomic.get errors)
 
+(* [run] keeps at most [workers] tasks running, reuses the domains an
+   earlier call gave back, and concurrent calls each run all of their
+   own tasks. *)
+let test_pool_run_bounds_and_reuses () =
+  let active = Atomic.make 0 and peak = Atomic.make 0 and bad_index = Atomic.make 0 in
+  let task i () =
+    let now = Atomic.fetch_and_add active 1 + 1 in
+    let rec raise_peak () =
+      let p = Atomic.get peak in
+      if now > p && not (Atomic.compare_and_set peak p now) then raise_peak ()
+    in
+    raise_peak ();
+    Unix.sleepf 0.001;
+    Atomic.decr active;
+    if i mod 7 = 0 then failwith "boom"
+  in
+  Pool.run ~workers:3
+    ~on_error:(fun ~worker _ -> if worker < 0 || worker >= 3 then Atomic.incr bad_index)
+    (List.init 40 task);
+  check "at most three tasks at once" true (Atomic.get peak <= 3);
+  check_int "worker indices in range" 0 (Atomic.get bad_index);
+  (* Domain ids only grow, so a domain spawned now bounds every domain
+     alive before it: the next call must use those. *)
+  let fence = (Domain.join (Domain.spawn Domain.self) :> int) in
+  let ids = Array.make 40 max_int in
+  Pool.run ~workers:3
+    (List.init 40 (fun i () ->
+         ids.(i) <- (Domain.self () :> int);
+         Unix.sleepf 0.001));
+  check "the second call spawns no domain" true (Array.for_all (fun id -> id < fence) ids);
+  let count = Atomic.make 0 in
+  let tasks = List.init 50 (fun _ () -> Atomic.incr count) in
+  let other = Domain.spawn (fun () -> Pool.run ~workers:2 tasks) in
+  Pool.run ~workers:2 tasks;
+  Domain.join other;
+  check_int "concurrent calls run everything" 100 (Atomic.get count)
+
 let test_pool_shutdown_drains_and_rejects () =
   let count = Atomic.make 0 in
   let pool = Pool.create ~workers:2 () in
@@ -455,6 +492,8 @@ let suite =
       Alcotest.test_case "pool runs everything" `Quick test_pool_runs_everything;
       Alcotest.test_case "pool survives raising tasks" `Quick
         test_pool_survives_raising_tasks;
+      Alcotest.test_case "pool run bounds and reuses domains" `Quick
+        test_pool_run_bounds_and_reuses;
       Alcotest.test_case "pool shutdown drains+rejects" `Quick
         test_pool_shutdown_drains_and_rejects;
       Alcotest.test_case "pool rejects zero workers" `Quick
