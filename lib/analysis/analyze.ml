@@ -6,6 +6,8 @@ module Prune = Ifc_dataflow.Prune
 module Loc = Ifc_lang.Loc
 module Metrics = Ifc_lang.Metrics
 module Wellformed = Ifc_lang.Wellformed
+module Sset = Ifc_support.Sset
+module Smap = Ifc_support.Smap
 
 type claims = {
   race_free : bool;
@@ -29,81 +31,116 @@ type report = {
 (* Race detection.
 
    Accesses are grouped into endpoints — one per (statement, variable)
-   with read/write flags — then every endpoint pair on the same variable
+   with a write flag — then every endpoint pair on the same variable
    with at least one write and no ordering (structural or handshake) is
    a finding. Arrays are whole-object: two stores to a[0] and a[1]
-   conflict, matching the certifiers' weak treatment of arrays. *)
+   conflict, matching the certifiers' weak treatment of arrays.
 
-type endpoint = {
-  e_path : int list;
-  e_span : Loc.span;
-  e_var : string;
-  e_write : bool;
-  e_read : bool;
-}
+   Only structurally parallel pairs are visited. Per variable, the
+   endpoints sit in arrays ascending by node id (all of them, and the
+   writers alone); the later points parallel to an endpoint are the id
+   ranges of [Mhp.parallel_after], found by binary search. A read-only
+   endpoint is paired with writers only. Findings come out ordered by
+   first endpoint, then second, as a scan over all pairs would emit
+   them; [Finding.compare] keeps that order on ties. *)
 
-let endpoints accs =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (a : Mhp.access) ->
-      let key = (a.Mhp.path, a.Mhp.var) in
-      match Hashtbl.find_opt tbl key with
-      | Some e ->
-        Hashtbl.replace tbl key
-          { e with e_write = e.e_write || a.Mhp.write;
-                   e_read = e.e_read || not a.Mhp.write }
-      | None ->
-        Hashtbl.add tbl key
-          {
-            e_path = a.Mhp.path;
-            e_span = a.Mhp.span;
-            e_var = a.Mhp.var;
-            e_write = a.Mhp.write;
-            e_read = not a.Mhp.write;
-          };
-        order := key :: !order)
-    accs;
-  List.rev_map (Hashtbl.find tbl) !order
+type endpoint = { e_node : int; e_span : Loc.span; e_var : string; e_write : bool }
+
+(* One statement's accesses are contiguous in [Mhp.accesses]: merge each
+   run by variable, in order of first appearance. *)
+let endpoints (accs : Mhp.access list) =
+  let out = ref [] in
+  let rec run (a : Mhp.access) order seen writes = function
+    | (b : Mhp.access) :: rest when b.Mhp.node = a.Mhp.node ->
+      let var = b.Mhp.var in
+      run a
+        (if Sset.mem var seen then order else var :: order)
+        (Sset.add var seen)
+        (if b.Mhp.write then Sset.add var writes else writes)
+        rest
+    | rest -> (
+      List.iter
+        (fun var ->
+          out :=
+            { e_node = a.Mhp.node; e_span = a.Mhp.span; e_var = var;
+              e_write = Sset.mem var writes }
+            :: !out)
+        (List.rev order);
+      match rest with
+      | [] -> ()
+      | b :: _ -> run b [] Sset.empty Sset.empty rest)
+  in
+  (match accs with [] -> () | a :: _ -> run a [] Sset.empty Sset.empty accs);
+  List.rev !out
+
+(* The first position in [a] (ascending by node) at or after node [lo]. *)
+let lower_bound (a : endpoint array) lo =
+  let rec go i j =
+    if i >= j then i
+    else
+      let m = (i + j) / 2 in
+      if a.(m).e_node < lo then go (m + 1) j else go i m
+  in
+  go 0 (Array.length a)
 
 let race_findings mhp ~atomic_spans =
   let eps = endpoints (Mhp.accesses mhp) in
-  let pairs = ref 0 in
-  let findings = ref [] in
-  let rec scan = function
-    | [] -> ()
-    | e :: rest ->
-      List.iter
-        (fun f ->
-          if e.e_var = f.e_var && (e.e_write || f.e_write) then begin
-            incr pairs;
-            if Mhp.may_happen_in_parallel mhp e.e_path f.e_path then begin
-              let kind =
-                if e.e_write && f.e_write then "write/write" else "read/write"
-              in
-              let atomic =
-                List.mem e.e_span atomic_spans || List.mem f.e_span atomic_spans
-              in
-              let note =
-                if atomic then
-                  "; a concurrent interleaving mid-expression makes the \
-                   atomicity warning here exploitable"
-                else ""
-              in
-              findings :=
-                Finding.make ~related:f.e_span Finding.Race Finding.Warning
-                  e.e_span
-                  (Printf.sprintf
-                     "possible %s race on %s with a parallel process%s" kind
-                     e.e_var note)
-                :: !findings
-            end
-          end)
-        rest;
-      scan rest
+  (* Per variable: its endpoints and its writers, ascending by node. *)
+  let by_var =
+    List.fold_left
+      (fun m e ->
+        let all, writers = Smap.find_or ~default:([], []) e.e_var m in
+        Smap.add e.e_var (e :: all, if e.e_write then e :: writers else writers) m)
+      Smap.empty (List.rev eps)
+    |> Smap.map (fun (all, writers) -> (Array.of_list all, Array.of_list writers))
   in
-  scan eps;
-  (List.rev !findings, !pairs)
+  (* Same-variable endpoint pairs with a write, whatever their relation. *)
+  let choose2 k = k * (k - 1) / 2 in
+  let pairs =
+    Smap.fold
+      (fun _ (all, writers) acc ->
+        let m = Array.length all in
+        acc + choose2 m - choose2 (m - Array.length writers))
+      by_var 0
+  in
+  let atomic = Hashtbl.create 16 in
+  List.iter (fun span -> Hashtbl.replace atomic span ()) atomic_spans;
+  let findings = ref [] in
+  let report e f =
+    let kind = if e.e_write && f.e_write then "write/write" else "read/write" in
+    let note =
+      if Hashtbl.mem atomic e.e_span || Hashtbl.mem atomic f.e_span then
+        "; a concurrent interleaving mid-expression makes the atomicity \
+         warning here exploitable"
+      else ""
+    in
+    findings :=
+      Finding.make ~related:f.e_span Finding.Race Finding.Warning e.e_span
+        (Printf.sprintf "possible %s race on %s with a parallel process%s" kind
+           e.e_var note)
+      :: !findings
+  in
+  List.iter
+    (fun e ->
+      let all, writers = Smap.find e.e_var by_var in
+      let later = if e.e_write then all else writers in
+      let n = Array.length later in
+      let until = if n = 0 then -1 else later.(n - 1).e_node in
+      List.iter
+        (fun (lo, hi) ->
+          let j = ref (lower_bound later lo) in
+          while !j < n && later.(!j).e_node <= hi do
+            let f = later.(!j) in
+            if
+              not
+                (Mhp.handshake_ordered mhp e.e_node f.e_node
+                || Mhp.handshake_ordered mhp f.e_node e.e_node)
+            then report e f;
+            incr j
+          done)
+        (Mhp.parallel_after mhp e.e_node ~until))
+    eps;
+  (List.rev !findings, pairs)
 
 (* ------------------------------------------------------------------ *)
 (* The channel lint, adapted: the graph gets the structural relation and
@@ -119,7 +156,7 @@ let chan_relation = function
 
 let chan_site (s : Mhp.sem_site) =
   {
-    Ifc_chan.Graph.path = s.Mhp.site_path;
+    Ifc_chan.Graph.node = s.Mhp.site_node;
     span = s.Mhp.site_span;
     under_loop = s.Mhp.under_loop;
   }

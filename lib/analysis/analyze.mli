@@ -21,7 +21,14 @@
     [deadlock_free]; a reachable terminal state refutes [must_block].
     The differential fuzzer cross-checks exactly these (labels
     [race-unsound] / [deadlock-unsound]); see DESIGN.md for why the
-    claims as implemented are sound. *)
+    claims as implemented are sound.
+
+    Cost after pruning: O(statements + reported race pairs), plus the
+    parallel pairs a wait/signal handshake orders. Race detection visits
+    only same-variable access pairs under a common [cobegin] in
+    different branches ({!Mhp.parallel_after}); the semaphore usage
+    intervals are computed once, bottom-up; the channel graph relates
+    each channel's send and recv sites pairwise. *)
 
 type claims = {
   race_free : bool;  (** No race findings. *)
@@ -43,7 +50,11 @@ type claims = {
 type stats = {
   statements : int;  (** Statement nodes analyzed. *)
   accesses : int;  (** Data access points considered. *)
-  pairs : int;  (** May-happen-in-parallel access pairs examined. *)
+  pairs : int;
+      (** Same-variable endpoint pairs with at least one write, whatever
+          their relation: per variable, C(m,2) - C(r,2) for its [m]
+          endpoints, [r] of them read-only. An endpoint is one
+          statement's accesses to one variable. *)
 }
 
 type report = {

@@ -1,4 +1,5 @@
-(* May-happen-in-parallel over tree paths, with handshake refinement. *)
+(* May-happen-in-parallel over preorder node ids, with handshake
+   refinement. *)
 
 module Ast = Ifc_lang.Ast
 module Loc = Ifc_lang.Loc
@@ -8,14 +9,26 @@ module Smap = Ifc_support.Smap
 
 type relation = Equal | Before | After | Parallel | Exclusive
 
-type access = { path : int list; span : Loc.span; var : string; write : bool }
+type access = { node : int; span : Loc.span; var : string; write : bool }
 
-type sem_site = { site_path : int list; site_span : Loc.span; under_loop : bool }
+type sem_site = { site_node : int; site_span : Loc.span; under_loop : bool }
 
+type kind = Leaf | Seq | Cobegin | If | While
+
+(* Per-node arrays, indexed by preorder id. The subtree of [v] is the
+   id range [v, last.(v)]. *)
 type t = {
-  body : Ast.stmt;
+  kind : kind array;
+  parent : int array;  (* -1 at the body *)
+  depth : int array;
+  last : int array;
+  cob : int array;  (* Nearest strict Cobegin ancestor, or -1. *)
+  branch : int array;  (* The child of [cob.(v)] whose subtree holds [v]. *)
+  wait_before : Sset.t array;
+      (* Semaphores some wait of which must have completed before the
+         node starts: over every Seq ancestor, the must-waits of the
+         siblings it has already passed. *)
   accs : access list;
-  waits : sem_site list Smap.t;
   signals : sem_site list Smap.t;
   sends : sem_site list Smap.t;
   recvs : sem_site list Smap.t;
@@ -24,84 +37,103 @@ type t = {
          no wait/signal site under a while. *)
 }
 
-let children (s : Ast.stmt) =
-  match s.Ast.node with
-  | Ast.If (_, a, b) -> [ a; b ]
-  | Ast.While (_, b) -> [ b ]
-  | Ast.Seq ss | Ast.Cobegin ss -> ss
-  | _ -> []
-
-(* ------------------------------------------------------------------ *)
-(* Access collection *)
-
-let collect_accesses body =
-  let out = ref [] in
-  let add path span var write = out := { path; span; var; write } :: !out in
-  let add_reads path span e =
-    Sset.iter (fun v -> add path span v false) (Vars.expr_vars e)
-  in
-  let rec walk path (s : Ast.stmt) =
-    match s.Ast.node with
-    | Ast.Skip | Ast.Wait _ | Ast.Signal _ -> ()
-    | Ast.Assign (x, e) | Ast.Declassify (x, e, _) ->
-      add path s.Ast.span x true;
-      add_reads path s.Ast.span e
-    | Ast.Send (_, e) ->
-      (* The channel itself is a synchronization object, not a data
-         access (its sites live in [sends]/[recvs]); the payload read
-         is data. *)
-      add_reads path s.Ast.span e
-    | Ast.Recv (_, x) -> add path s.Ast.span x true
-    | Ast.Store (a, i, e) ->
-      add path s.Ast.span a true;
-      add_reads path s.Ast.span i;
-      add_reads path s.Ast.span e
-    | Ast.If (cond, a, b) ->
-      add_reads path s.Ast.span cond;
-      walk (path @ [ 0 ]) a;
-      walk (path @ [ 1 ]) b
-    | Ast.While (cond, b) ->
-      add_reads path s.Ast.span cond;
-      walk (path @ [ 0 ]) b
-    | Ast.Seq ss | Ast.Cobegin ss ->
-      List.iteri (fun i c -> walk (path @ [ i ]) c) ss
-  in
-  walk [] body;
-  List.rev !out
-
-let collect_sites body =
+let create (p : Ast.program) =
+  let n = (Ifc_lang.Metrics.of_stmt p.Ast.body).Ifc_lang.Metrics.statements in
+  let kind = Array.make n Leaf
+  and parent = Array.make n (-1)
+  and depth = Array.make n 0
+  and last = Array.make n 0
+  and cob = Array.make n (-1)
+  and branch = Array.make n (-1)
+  and wait_before = Array.make n Sset.empty in
+  let next = ref 0 and accs = ref [] in
   let waits = ref Smap.empty
   and signals = ref Smap.empty
   and sends = ref Smap.empty
   and recvs = ref Smap.empty in
-  let add store sem site = store := Smap.add sem (site :: Smap.find_or ~default:[] sem !store) !store in
-  let rec walk path under_loop (s : Ast.stmt) =
-    match s.Ast.node with
-    | Ast.Wait sem ->
-      add waits sem { site_path = path; site_span = s.Ast.span; under_loop }
-    | Ast.Signal sem ->
-      add signals sem { site_path = path; site_span = s.Ast.span; under_loop }
-    | Ast.Send (chan, _) ->
-      add sends chan { site_path = path; site_span = s.Ast.span; under_loop }
-    | Ast.Recv (chan, _) ->
-      add recvs chan { site_path = path; site_span = s.Ast.span; under_loop }
-    | Ast.If (_, a, b) ->
-      walk (path @ [ 0 ]) under_loop a;
-      walk (path @ [ 1 ]) under_loop b
-    | Ast.While (_, b) -> walk (path @ [ 0 ]) true b
-    | Ast.Seq ss | Ast.Cobegin ss ->
-      List.iteri (fun i c -> walk (path @ [ i ]) under_loop c) ss
-    | Ast.Skip | Ast.Assign _ | Ast.Declassify _ | Ast.Store _ -> ()
+  (* Numbers [s] and its subtree; returns the must-wait set of [s]: the
+     semaphores some wait of which must have completed whenever [s]
+     completes. Loops promise nothing (zero iterations); alternation
+     promises only what both arms promise. *)
+  let rec walk ~par ~under_loop ~wb (s : Ast.stmt) =
+    let id = !next in
+    incr next;
+    parent.(id) <- par;
+    wait_before.(id) <- wb;
+    if par >= 0 then begin
+      depth.(id) <- depth.(par) + 1;
+      if kind.(par) = Cobegin then begin
+        cob.(id) <- par;
+        branch.(id) <- id
+      end
+      else begin
+        cob.(id) <- cob.(par);
+        branch.(id) <- branch.(par)
+      end
+    end;
+    let span = s.Ast.span in
+    let add var write = accs := { node = id; span; var; write } :: !accs in
+    let add_reads e = Sset.iter (fun v -> add v false) (Vars.expr_vars e) in
+    let site store name =
+      let site = { site_node = id; site_span = span; under_loop } in
+      store := Smap.add name (site :: Smap.find_or ~default:[] name !store) !store
+    in
+    let must_wait =
+      match s.Ast.node with
+      | Ast.Skip -> Sset.empty
+      | Ast.Wait sem ->
+        site waits sem;
+        Sset.singleton sem
+      | Ast.Signal sem ->
+        site signals sem;
+        Sset.empty
+      | Ast.Assign (x, e) | Ast.Declassify (x, e, _) ->
+        add x true;
+        add_reads e;
+        Sset.empty
+      | Ast.Send (chan, e) ->
+        (* The channel itself is a synchronization object, not a data
+           access (its sites live in [sends]/[recvs]); the payload read
+           is data. Channel ops promise no semaphore handshakes. *)
+        site sends chan;
+        add_reads e;
+        Sset.empty
+      | Ast.Recv (chan, x) ->
+        site recvs chan;
+        add x true;
+        Sset.empty
+      | Ast.Store (a, i, e) ->
+        add a true;
+        add_reads i;
+        add_reads e;
+        Sset.empty
+      | Ast.If (cond, a, b) ->
+        kind.(id) <- If;
+        add_reads cond;
+        let wa = walk ~par:id ~under_loop ~wb a in
+        Sset.inter wa (walk ~par:id ~under_loop ~wb b)
+      | Ast.While (cond, b) ->
+        kind.(id) <- While;
+        add_reads cond;
+        ignore (walk ~par:id ~under_loop:true ~wb b);
+        Sset.empty
+      | Ast.Seq ss ->
+        kind.(id) <- Seq;
+        List.fold_left
+          (fun passed c ->
+            Sset.union passed (walk ~par:id ~under_loop ~wb:(Sset.union wb passed) c))
+          Sset.empty ss
+      | Ast.Cobegin ss ->
+        kind.(id) <- Cobegin;
+        List.fold_left
+          (fun acc c -> Sset.union acc (walk ~par:id ~under_loop ~wb c))
+          Sset.empty ss
+    in
+    last.(id) <- !next - 1;
+    must_wait
   in
-  walk [] false body;
-  ( Smap.map List.rev !waits,
-    Smap.map List.rev !signals,
-    Smap.map List.rev !sends,
-    Smap.map List.rev !recvs )
-
-let create (p : Ast.program) =
-  let body = p.Ast.body in
-  let waits, signals, sends, recvs = collect_sites body in
+  ignore (walk ~par:(-1) ~under_loop:false ~wb:Sset.empty p.Ast.body);
+  let waits = !waits and signals = Smap.map List.rev !signals in
   let inits =
     List.fold_left
       (fun acc -> function
@@ -109,21 +141,40 @@ let create (p : Ast.program) =
         | Ast.Var_decl _ | Ast.Arr_decl _ | Ast.Chan_decl _ -> acc)
       Smap.empty p.Ast.decls
   in
-  let looping sites = List.exists (fun s -> s.under_loop) sites in
-  let sems =
-    Sset.union
-      (Sset.of_list (Smap.keys waits))
-      (Sset.of_list (Smap.keys signals))
+  let looping sem m =
+    List.exists (fun s -> s.under_loop) (Smap.find_or ~default:[] sem m)
   in
   let eligible =
     Sset.filter
       (fun s ->
         Smap.find_or ~default:0 s inits = 0
-        && (not (looping (Smap.find_or ~default:[] s waits)))
-        && not (looping (Smap.find_or ~default:[] s signals)))
-      sems
+        && (not (looping s waits))
+        && not (looping s signals))
+      (Sset.union (Sset.of_list (Smap.keys waits)) (Sset.of_list (Smap.keys signals)))
   in
-  { body; accs = collect_accesses body; waits; signals; sends; recvs; eligible }
+  {
+    kind;
+    parent;
+    depth;
+    last;
+    cob;
+    branch;
+    wait_before;
+    accs = List.rev !accs;
+    signals;
+    sends = Smap.map List.rev !sends;
+    recvs = Smap.map List.rev !recvs;
+    eligible;
+  }
+
+let node t path =
+  (* Child [i] of [v] starts right after the subtree of child [i - 1]. *)
+  let rec nth v c i =
+    if c > t.last.(v) then invalid_arg "Mhp.node: path leaves the tree"
+    else if i = 0 then c
+    else nth v (t.last.(c) + 1) (i - 1)
+  in
+  List.fold_left (fun v i -> nth v (v + 1) i) 0 path
 
 let accesses t = t.accs
 let send_sites t = t.sends
@@ -132,69 +183,44 @@ let recv_sites t = t.recvs
 (* ------------------------------------------------------------------ *)
 (* Structural relation *)
 
+let ancestor t a v = a <= v && v <= t.last.(a)
+
 let relate t p q =
-  let rec go s p q =
-    match (p, q) with
-    | [], [] -> Equal
-    | [], _ -> Before (* guard read of an enclosing if/while *)
-    | _, [] -> After
-    | i :: p', j :: q' ->
-      if i = j then go (List.nth (children s) i) p' q'
-      else (
-        match s.Ast.node with
-        | Ast.Seq _ -> if i < j then Before else After
-        | Ast.Cobegin _ -> Parallel
-        | Ast.If _ -> Exclusive
-        | _ -> assert false (* while has one child; leaves have none *))
+  if p = q then Equal
+  else if ancestor t p q then Before (* guard read of an enclosing if/while *)
+  else if ancestor t q p then After
+  else
+    let shallow, deep = if t.depth.(p) <= t.depth.(q) then (p, q) else (q, p) in
+    let rec lca v = if ancestor t v deep then v else lca t.parent.(v) in
+    match t.kind.(lca shallow) with
+    | Seq -> if p < q then Before else After
+    | Cobegin -> Parallel
+    | If -> Exclusive
+    | While | Leaf -> assert false (* a while has one child; leaves none *)
+
+let parallel_after t p ~until =
+  let rec go v =
+    let c = t.cob.(v) in
+    if c < 0 then []
+    else
+      let lo = t.last.(t.branch.(v)) + 1 in
+      if lo > until then []
+      else if lo > t.last.(c) then go c
+      else (lo, t.last.(c)) :: go c
   in
-  go t.body p q
+  go p
 
 (* ------------------------------------------------------------------ *)
 (* Handshake refinement *)
-
-(* Semaphores some wait of which must have completed whenever the
-   statement completes. Loops promise nothing (zero iterations);
-   alternation promises only what both arms promise. *)
-let rec must_wait (s : Ast.stmt) =
-  match s.Ast.node with
-  | Ast.Wait sem -> Sset.singleton sem
-  | Ast.Seq ss | Ast.Cobegin ss ->
-    List.fold_left (fun acc c -> Sset.union acc (must_wait c)) Sset.empty ss
-  | Ast.If (_, a, b) -> Sset.inter (must_wait a) (must_wait b)
-  | Ast.While _ | Ast.Skip | Ast.Assign _ | Ast.Declassify _ | Ast.Store _
-  | Ast.Signal _
-  (* Channel ops promise no semaphore handshakes; their own ordering is
-     the channel graph's subject, not this refinement's. *)
-  | Ast.Send _ | Ast.Recv _ ->
-    Sset.empty
-
-(* Waits that must have completed before the point at [path] starts:
-   the union over every Seq ancestor of the must-waits of the siblings
-   it has already passed. *)
-let must_wait_before t path =
-  let rec go s path acc =
-    match path with
-    | [] -> acc
-    | i :: rest ->
-      let acc =
-        match s.Ast.node with
-        | Ast.Seq ss ->
-          List.filteri (fun j _ -> j < i) ss
-          |> List.fold_left (fun acc c -> Sset.union acc (must_wait c)) acc
-        | _ -> acc
-      in
-      go (List.nth (children s) i) rest acc
-  in
-  go t.body path Sset.empty
 
 let handshake_ordered t p q =
   Sset.exists
     (fun sem ->
       Sset.mem sem t.eligible
       && List.for_all
-           (fun site -> relate t p site.site_path = Before)
+           (fun site -> relate t p site.site_node = Before)
            (Smap.find_or ~default:[] sem t.signals))
-    (must_wait_before t q)
+    t.wait_before.(q)
 
 let may_happen_in_parallel t p q =
   relate t p q = Parallel

@@ -1,12 +1,13 @@
 (** May-happen-in-parallel analysis over the [Seq]/[Cobegin] tree,
     refined by must-precede edges from matching [wait]/[signal] pairs.
 
-    Program points are identified by their tree path — the list of child
-    indices from the program body down to the statement. Two points'
-    structural relation is decided at their lowest common ancestor:
-    through a [Seq] they are ordered, through a [Cobegin] they may run in
-    parallel, through an [If] they are mutually exclusive. A point that
-    is a prefix of another is the guard read of an enclosing [if]/[while]
+    Program points are statement nodes, numbered once in preorder from
+    the program body (id 0): a node's subtree is the contiguous id range
+    from the node to its last descendant. Two points' structural
+    relation is decided at their lowest common ancestor: through a [Seq]
+    they are ordered, through a [Cobegin] they may run in parallel,
+    through an [If] they are mutually exclusive. A point that is an
+    ancestor of another is the guard read of an enclosing [if]/[while]
     and precedes it.
 
     The parallel verdict is then refined: [p] must precede [q] when [q]
@@ -20,7 +21,15 @@
     earlier loop iteration could satisfy the wait and break the edge
     (see DESIGN.md). The refinement is deliberately not transitively
     closed: chaining edges through a conditionally-executed middle point
-    is unsound. *)
+    is unsound.
+
+    Cost: {!create} is one walk, O(statements + accesses), with the
+    must-wait sets shared between nodes (each [Seq] child adds one
+    semaphore-set union). {!parallel_after} takes one step per enclosing
+    [cobegin] it visits; {!relate} climbs from the shallower point to the lowest
+    common ancestor. Race detection over them ({!Analyze}) is
+    O(statements + reported race pairs), plus the parallel pairs a
+    handshake orders. *)
 
 type relation =
   | Equal
@@ -34,7 +43,7 @@ type relation =
     attributed to the statement's span). Arrays are whole-object accesses
     (weak updates), matching the certifiers' treatment. *)
 type access = {
-  path : int list;
+  node : int;  (** Preorder id of the accessing statement. *)
   span : Ifc_lang.Loc.span;
   var : string;
   write : bool;
@@ -44,8 +53,15 @@ type t
 
 val create : Ifc_lang.Ast.program -> t
 
+val node : t -> int list -> int
+(** [node t path]: the id of the statement reached from the body by the
+    child indices of [path] (arms [0]/[1] of an [if], [0] for a [while]
+    body, positions in a [Seq]/[Cobegin]). Raises [Invalid_argument] on
+    a path that leaves the tree. *)
+
 val accesses : t -> access list
-(** Every data access point of the body, in source order. Semaphore
+(** Every data access point of the body, in source order: ascending by
+    node, and one statement's accesses are contiguous. Semaphore
     operations are not data accesses (they are the liveness analysis's
     subject, {!Semlive}); a [send]'s payload read and a [recv]'s target
     write are, but the channel endpoint itself is not (see
@@ -53,7 +69,7 @@ val accesses : t -> access list
 
 (** One synchronization site of a semaphore or channel. *)
 type sem_site = {
-  site_path : int list;
+  site_node : int;
   site_span : Ifc_lang.Loc.span;
   under_loop : bool;  (** The site sits under a [while]. *)
 }
@@ -64,14 +80,23 @@ val send_sites : t -> sem_site list Ifc_support.Smap.t
 val recv_sites : t -> sem_site list Ifc_support.Smap.t
 (** Per-channel [recv] sites of the body, in source order. *)
 
-val relate : t -> int list -> int list -> relation
+val relate : t -> int -> int -> relation
 (** Structural relation of two program points (no semaphore
     refinement). *)
 
-val may_happen_in_parallel : t -> int list -> int list -> bool
+val parallel_after : t -> int -> until:int -> (int * int) list
+(** [parallel_after t p ~until]: inclusive id ranges, ascending and
+    disjoint, holding exactly the points with a larger id than [p] that
+    are structurally [Parallel] to it — for each enclosing [cobegin],
+    innermost first, the branches after the one holding [p] — except
+    that ranges starting after [until] are left out. A caller that
+    knows its last candidate pays only for the enclosing [cobegin]s
+    below it. *)
+
+val may_happen_in_parallel : t -> int -> int -> bool
 (** [Parallel] and not ordered by a handshake in either direction. *)
 
-val handshake_ordered : t -> int list -> int list -> bool
+val handshake_ordered : t -> int -> int -> bool
 (** [handshake_ordered t p q]: [p] must complete before [q] starts,
     established by an eligible wait/signal handshake as described
     above. *)

@@ -87,31 +87,6 @@ let merge_with f a b =
       | None, None -> None)
     a b
 
-let rec usages (s : Ast.stmt) =
-  match s.Ast.node with
-  (* Channel ops are no semaphore usage: their blocking discipline is
-     the channel lint's subject ({!Ifc_chan}). *)
-  | Ast.Skip | Ast.Assign _ | Ast.Declassify _ | Ast.Store _ | Ast.Send _
-  | Ast.Recv _ ->
-    Smap.empty
-  | Ast.Wait sem ->
-    Smap.singleton sem
-      { zero with wait_min = 1; wait_max = Fin 1; first_wait = Some s.Ast.span }
-  | Ast.Signal sem ->
-    Smap.singleton sem
-      {
-        zero with
-        signal_min = 1;
-        signal_max = Fin 1;
-        first_signal = Some s.Ast.span;
-      }
-  | Ast.Seq ss | Ast.Cobegin ss ->
-    List.fold_left
-      (fun acc c -> merge_with seq_usage acc (usages c))
-      Smap.empty ss
-  | Ast.If (_, a, b) -> merge_with alt_usage (usages a) (usages b)
-  | Ast.While (_, b) -> Smap.map loop_usage (usages b)
-
 type result = {
   findings : Finding.t list;
   deadlock_free : bool;
@@ -119,14 +94,15 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Imbalance: an if whose arms use a semaphore differently, or a while
-   whose body synchronizes at all. The synchronization behaviour then
-   depends on the guard — the paper's conditional-delay channel. *)
+(* Usage, bottom-up, with the imbalance lint on the way: an if whose arms
+   use a semaphore differently, or a while whose body synchronizes at
+   all. The synchronization behaviour then depends on the guard — the
+   paper's conditional-delay channel. Each arm's and body's usage is
+   computed once and serves both its parent's usage and the lint. *)
 
 let balance u = (u.wait_min, u.wait_max, u.signal_min, u.signal_max)
 
-let imbalanced_sems a b =
-  let ua = usages a and ub = usages b in
+let imbalanced_sems ua ub =
   Smap.merge
     (fun _ l r ->
       let l = Option.value ~default:zero l
@@ -135,48 +111,74 @@ let imbalanced_sems a b =
     ua ub
   |> Smap.keys
 
-let stmt_children (s : Ast.stmt) =
-  match s.Ast.node with
-  | Ast.If (_, a, b) -> [ a; b ]
-  | Ast.While (_, b) -> [ b ]
-  | Ast.Seq ss | Ast.Cobegin ss -> ss
-  | _ -> []
+let syncing_sems u =
+  Smap.filter (fun _ u -> u.wait_max <> Fin 0 || u.signal_max <> Fin 0) u
+  |> Smap.keys
 
-let collect_imbalance body =
-  let out = ref [] in
-  let emit span fmt = Format.kasprintf (fun m ->
-      out := Finding.make Finding.Imbalance Finding.Warning span m :: !out) fmt
+(* The usage of [body], and its imbalance findings in preorder: an if or
+   while takes its finding's slot before its children take theirs, and
+   fills it once both arms' (or the body's) usage is known. *)
+let usages_and_imbalance body =
+  let slots = ref [] in
+  let take_slot () =
+    let slot = ref None in
+    slots := slot :: !slots;
+    slot
   in
-  let rec walk (s : Ast.stmt) =
-    (match s.Ast.node with
-    | Ast.If (_, a, b) -> (
-      match imbalanced_sems a b with
-      | [] -> ()
-      | sems ->
-        emit s.Ast.span
-          "branches differ in wait/signal balance on %s; the branch taken \
-           is observable through the conditional delay of the waiting \
-           process"
-          (String.concat ", " sems))
-    | Ast.While (_, b) -> (
-      let syncing =
-        Smap.filter
-          (fun _ u -> u.wait_max <> Fin 0 || u.signal_max <> Fin 0)
-          (usages b)
-        |> Smap.keys
-      in
-      match syncing with
-      | [] -> ()
-      | sems ->
-        emit s.Ast.span
-          "loop body synchronizes on %s; the iteration count is observable \
-           through the conditional delay of the waiting process"
-          (String.concat ", " sems))
-    | _ -> ());
-    List.iter walk (stmt_children s)
+  let fill slot (s : Ast.stmt) = function
+    | [] -> ()
+    | sems ->
+      slot :=
+        Some
+          (Finding.make Finding.Imbalance Finding.Warning s.Ast.span
+             (Format.asprintf
+                (match s.Ast.node with
+                | Ast.If _ ->
+                  "branches differ in wait/signal balance on %s; the branch \
+                   taken is observable through the conditional delay of the \
+                   waiting process"
+                | _ ->
+                  "loop body synchronizes on %s; the iteration count is \
+                   observable through the conditional delay of the waiting \
+                   process")
+                (String.concat ", " sems)))
   in
-  walk body;
-  List.rev !out
+  let rec go (s : Ast.stmt) =
+    match s.Ast.node with
+    (* Channel ops are no semaphore usage: their blocking discipline is
+       the channel lint's subject ({!Ifc_chan}). *)
+    | Ast.Skip | Ast.Assign _ | Ast.Declassify _ | Ast.Store _ | Ast.Send _
+    | Ast.Recv _ ->
+      Smap.empty
+    | Ast.Wait sem ->
+      Smap.singleton sem
+        { zero with wait_min = 1; wait_max = Fin 1; first_wait = Some s.Ast.span }
+    | Ast.Signal sem ->
+      Smap.singleton sem
+        {
+          zero with
+          signal_min = 1;
+          signal_max = Fin 1;
+          first_signal = Some s.Ast.span;
+        }
+    | Ast.Seq ss | Ast.Cobegin ss ->
+      List.fold_left (fun acc c -> merge_with seq_usage acc (go c)) Smap.empty ss
+    | Ast.If (_, a, b) ->
+      let slot = take_slot () in
+      let ua = go a in
+      let ub = go b in
+      fill slot s (imbalanced_sems ua ub);
+      merge_with alt_usage ua ub
+    | Ast.While (_, b) ->
+      let slot = take_slot () in
+      let ub = go b in
+      fill slot s (syncing_sems ub);
+      Smap.map loop_usage ub
+  in
+  let u = go body in
+  (u, List.rev (List.filter_map ( ! ) !slots))
+
+let usages s = fst (usages_and_imbalance s)
 
 (* ------------------------------------------------------------------ *)
 
@@ -188,7 +190,7 @@ let analyze (p : Ast.program) =
         | Ast.Var_decl _ | Ast.Arr_decl _ | Ast.Chan_decl _ -> acc)
       Smap.empty p.Ast.decls
   in
-  let u = usages p.Ast.body in
+  let u, imbalance = usages_and_imbalance p.Ast.body in
   let findings = ref [] in
   let emit f = findings := f :: !findings in
   let deadlock_free = ref true and must_block = ref false in
@@ -239,5 +241,5 @@ let analyze (p : Ast.program) =
                 (match usage.wait_max with Fin 1 -> "" | _ -> "s")))
       end)
     u;
-  let findings = List.rev !findings @ collect_imbalance p.Ast.body in
+  let findings = List.rev !findings @ imbalance in
   { findings; deadlock_free = !deadlock_free; must_block = !must_block }

@@ -4,7 +4,7 @@ module Ast = Ifc_lang.Ast
 module Loc = Ifc_lang.Loc
 module Smap = Ifc_support.Smap
 
-type site = { path : int list; span : Loc.span; under_loop : bool }
+type site = { node : int; span : Loc.span; under_loop : bool }
 
 type relation = Equal | Before | After | Parallel | Exclusive
 
@@ -18,7 +18,15 @@ type node = {
 
 type edge = { e_chan : string; e_send : site; e_recv : site }
 
-type t = { nodes : node list; edges : edge list }
+module Iset = Set.Make (Int)
+
+type t = {
+  nodes : node list;
+  edges : edge list;
+  fed : Iset.t;  (* Recv sites some edge ends at. *)
+  consumed : Iset.t;  (* Send sites some edge starts at. *)
+  degrees : int Smap.t;  (* Edges per channel. *)
+}
 
 (* A message enqueued at [s] may be the one dequeued at [r] when [s] can
    complete no later than [r] runs: [s] strictly before [r], the two in
@@ -64,27 +72,29 @@ let build ~relate ~sends ~recvs (p : Ast.program) =
           (fun s ->
             List.filter_map
               (fun r ->
-                if may_communicate ~send:s ~recv:r (relate s.path r.path) then
+                if may_communicate ~send:s ~recv:r (relate s.node r.node) then
                   Some { e_chan = n.chan; e_send = s; e_recv = r }
                 else None)
               n.recvs)
           n.sends)
       nodes
   in
-  { nodes; edges }
+  let fed, consumed, degrees =
+    List.fold_left
+      (fun (fed, consumed, degrees) e ->
+        ( Iset.add e.e_recv.node fed,
+          Iset.add e.e_send.node consumed,
+          Smap.add e.e_chan (Smap.find_or ~default:0 e.e_chan degrees + 1) degrees ))
+      (Iset.empty, Iset.empty, Smap.empty)
+      edges
+  in
+  { nodes; edges; fed; consumed; degrees }
 
-let fed t (r : site) chan =
-  List.exists
-    (fun e -> String.equal e.e_chan chan && e.e_recv.path = r.path)
-    t.edges
-
-let consumed t (s : site) chan =
-  List.exists
-    (fun e -> String.equal e.e_chan chan && e.e_send.path = s.path)
-    t.edges
-
-let degree t chan =
-  List.length (List.filter (fun e -> String.equal e.e_chan chan) t.edges)
+let nodes t = t.nodes
+let edges t = t.edges
+let fed t (r : site) = Iset.mem r.node t.fed
+let consumed t (s : site) = Iset.mem s.node t.consumed
+let degree t chan = Smap.find_or ~default:0 chan t.degrees
 
 let pp ppf t =
   let pp_site ppf (s : site) = Loc.pp ppf s.span in

@@ -5,14 +5,16 @@
     The structural relation between two program points is injected (the
     caller typically adapts {!Ifc_analysis.Mhp.relate}); this keeps the
     subsystem independent of the concurrency analyzer while letting it
-    reuse the same tree-path reasoning. An edge exists when the send is
+    reuse the same program-point ids. An edge exists when the send is
     sequentially before the recv, the two sit in parallel branches of a
     common [cobegin], or both sit under a loop (a send textually after a
     recv can feed its next iteration). Sites in exclusive [if] arms never
     exchange a message. *)
 
 type site = {
-  path : int list;  (** Tree path from the body to the statement. *)
+  node : int;
+      (** The statement's program-point id: one statement, one site, so
+          the id identifies the site. *)
   span : Ifc_lang.Loc.span;
   under_loop : bool;
 }
@@ -31,24 +33,31 @@ type node = {
 
 type edge = { e_chan : string; e_send : site; e_recv : site }
 
-type t = { nodes : node list; edges : edge list }
+type t
 
 val build :
-  relate:(int list -> int list -> relation) ->
+  relate:(int -> int -> relation) ->
   sends:site list Ifc_support.Smap.t ->
   recvs:site list Ifc_support.Smap.t ->
   Ifc_lang.Ast.program ->
   t
+(** One [relate] call per (send, recv) site pair of a channel; the
+    per-site and per-channel answers below are computed here once. *)
+
+val nodes : t -> node list
 (** Nodes in declaration order, then any used-but-undeclared channels in
     name order at the default capacity. *)
 
-val fed : t -> site -> string -> bool
-(** [fed t r c]: some may-communicate edge of channel [c] ends at recv
-    site [r]. A recv no edge feeds blocks forever whenever reached. *)
+val edges : t -> edge list
+(** Per channel in {!nodes} order, by send site, then by recv site. *)
 
-val consumed : t -> site -> string -> bool
-(** [consumed t s c]: some edge of [c] starts at send site [s]. A send no
-    edge consumes produces a message that is never received. *)
+val fed : t -> site -> bool
+(** [fed t r]: some may-communicate edge ends at recv site [r]. A recv
+    no edge feeds blocks forever whenever reached. *)
+
+val consumed : t -> site -> bool
+(** [consumed t s]: some edge starts at send site [s]. A send no edge
+    consumes produces a message that is never received. *)
 
 val degree : t -> string -> int
 (** Number of may-communicate edges of a channel. *)

@@ -160,7 +160,7 @@ let analyze ~may_parallel ~(graph : Graph.t) (p : Ast.program) =
       (* Never-fed recv: no send may complete before it or alongside it,
          so whenever the statement runs the queue is empty, forever. *)
       let starved =
-        List.filter (fun r -> not (Graph.fed graph r chan)) n.Graph.recvs
+        List.filter (fun r -> not (Graph.fed graph r)) n.Graph.recvs
       in
       List.iter
         (fun (r : Graph.site) ->
@@ -225,7 +225,7 @@ let analyze ~may_parallel ~(graph : Graph.t) (p : Ast.program) =
       end;
       (* Never-consumed send: its message has no recv it may reach. *)
       let orphan_sites =
-        List.filter (fun s -> not (Graph.consumed graph s chan)) n.Graph.sends
+        List.filter (fun s -> not (Graph.consumed graph s)) n.Graph.sends
       in
       List.iter
         (fun (s : Graph.site) ->
@@ -275,7 +275,7 @@ let analyze ~may_parallel ~(graph : Graph.t) (p : Ast.program) =
           | (s : Graph.site) :: rest ->
             List.iter
               (fun (t : Graph.site) ->
-                if may_parallel s.Graph.path t.Graph.path then begin
+                if may_parallel s.Graph.node t.Graph.node then begin
                   race_free := false;
                   emit
                     {
@@ -304,7 +304,7 @@ let analyze ~may_parallel ~(graph : Graph.t) (p : Ast.program) =
          dynamic block witness refutes it definitively. *)
       if not (le_count usage.send_max (Fin cap) && usage.recv_max = Fin 0) then
         deadlock_free := false)
-    graph.Graph.nodes;
+    (Graph.nodes graph);
   let summaries =
     List.map
       (fun (n : Graph.node) ->
@@ -319,7 +319,7 @@ let analyze ~may_parallel ~(graph : Graph.t) (p : Ast.program) =
           s_recv_max = usage.recv_max;
           s_degree = Graph.degree graph n.Graph.chan;
         })
-      graph.Graph.nodes
+      (Graph.nodes graph)
   in
   {
     findings = List.rev !findings;

@@ -74,7 +74,7 @@ val kind_name : kind -> string
 (** ["chan-deadlock"], ["orphan-message"], ["chan-race"]. *)
 
 val analyze :
-  may_parallel:(int list -> int list -> bool) ->
+  may_parallel:(int -> int -> bool) ->
   graph:Graph.t ->
   Ifc_lang.Ast.program ->
   result

@@ -169,18 +169,22 @@ let atomicity_issues (body : Ast.stmt) =
     | Ast.While (_, body) -> go body acc
     | Ast.Seq stmts -> List.fold_left (fun acc s -> go s acc) acc stmts
     | Ast.Cobegin branches ->
-      let mods = List.map Vars.modified branches in
-      let acc =
+      (* Branch [i] shares what any other branch modifies: the union of
+         the branches before it and of those after it, so a wide
+         cobegin costs one union per branch, not one per branch pair. *)
+      let mods = Array.of_list (List.map Vars.modified branches) in
+      let n = Array.length mods in
+      let after = Array.make (n + 1) Sset.empty in
+      for i = n - 1 downto 0 do
+        after.(i) <- Sset.union mods.(i) after.(i + 1)
+      done;
+      let acc, _ =
         List.fold_left
-          (fun acc (i, branch) ->
-            let shared =
-              List.concat
-                (List.filteri (fun j _ -> j <> i) (List.map Sset.elements mods))
-              |> Sset.of_list
-            in
-            leaf_checks shared branch acc)
-          acc
-          (List.mapi (fun i b -> (i, b)) branches)
+          (fun (acc, (i, before)) branch ->
+            ( leaf_checks (Sset.union before after.(i + 1)) branch acc,
+              (i + 1, Sset.union before mods.(i)) ))
+          (acc, (0, Sset.empty))
+          branches
       in
       List.fold_left (fun acc b -> go b acc) acc branches
   in

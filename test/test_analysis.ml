@@ -13,7 +13,12 @@ module Guards = Ifc_analysis.Guards
 module Finding = Ifc_analysis.Finding
 module Analyze = Ifc_analysis.Analyze
 module Explore = Ifc_exec.Explore
+module Wellformed = Ifc_lang.Wellformed
+module Pretty = Ifc_lang.Pretty
+module Prune = Ifc_dataflow.Prune
+module Prng = Ifc_support.Prng
 module Smap = Ifc_support.Smap
+module Sset = Ifc_support.Sset
 module Arb = Qcheck_arbitrary
 
 let check = Alcotest.(check bool)
@@ -55,17 +60,18 @@ let test_mhp_relations () =
              if x = 0 then y := 2 else z := 2 fi
            end|})
   in
-  Alcotest.check relation "seq orders" Mhp.Before (Mhp.relate t [ 0 ] [ 1 ]);
-  Alcotest.check relation "seq orders (flip)" Mhp.After (Mhp.relate t [ 1 ] [ 0 ]);
+  let relate p q = Mhp.relate t (Mhp.node t p) (Mhp.node t q) in
+  Alcotest.check relation "seq orders" Mhp.Before (relate [ 0 ] [ 1 ]);
+  Alcotest.check relation "seq orders (flip)" Mhp.After (relate [ 1 ] [ 0 ]);
   Alcotest.check relation "cobegin branches are parallel" Mhp.Parallel
-    (Mhp.relate t [ 1; 0 ] [ 1; 1 ]);
+    (relate [ 1; 0 ] [ 1; 1 ]);
   Alcotest.check relation "if arms are exclusive" Mhp.Exclusive
-    (Mhp.relate t [ 2; 0 ] [ 2; 1 ]);
+    (relate [ 2; 0 ] [ 2; 1 ]);
   Alcotest.check relation "guard read precedes its arm" Mhp.Before
-    (Mhp.relate t [ 2 ] [ 2; 0 ]);
-  Alcotest.check relation "equal" Mhp.Equal (Mhp.relate t [ 1; 0 ] [ 1; 0 ]);
+    (relate [ 2 ] [ 2; 0 ]);
+  Alcotest.check relation "equal" Mhp.Equal (relate [ 1; 0 ] [ 1; 0 ]);
   Alcotest.check relation "across constructs via seq" Mhp.Before
-    (Mhp.relate t [ 1; 0 ] [ 2; 1 ])
+    (relate [ 1; 0 ] [ 2; 1 ])
 
 let test_mhp_accesses () =
   let t =
@@ -97,11 +103,11 @@ let handshake_src =
 let test_handshake_orders () =
   let t = Mhp.create (program handshake_src) in
   (* x := 1 at [0;0], signal at [0;1], wait at [1;0], y := x at [1;1]. *)
+  let x1 = Mhp.node t [ 0; 0 ] and yx = Mhp.node t [ 1; 1 ] in
   check "x:=1 precedes y:=x through the handshake" true
-    (Mhp.handshake_ordered t [ 0; 0 ] [ 1; 1 ]);
-  check "so the pair is not MHP" false
-    (Mhp.may_happen_in_parallel t [ 0; 0 ] [ 1; 1 ]);
-  check "no reverse edge" false (Mhp.handshake_ordered t [ 1; 1 ] [ 0; 0 ]);
+    (Mhp.handshake_ordered t x1 yx);
+  check "so the pair is not MHP" false (Mhp.may_happen_in_parallel t x1 yx);
+  check "no reverse edge" false (Mhp.handshake_ordered t yx x1);
   (* The wait itself is not ordered after the signal's predecessor by
      anything but the handshake; unrelated parallel points stay MHP. *)
   check "signal and wait sites are not data accesses" true
@@ -441,6 +447,303 @@ let deadlock_free_implies_no_deadlock =
         (not s.Explore.complete) || not (Explore.can_deadlock s))
 
 (* ------------------------------------------------------------------ *)
+(* The id-based analyzer against the tree-path formulation it replaced,
+   kept naive on purpose: paths from the body, root walks with
+   [List.nth], every endpoint pair scanned. *)
+
+module Reference = struct
+  let children (s : Ast.stmt) =
+    match s.Ast.node with
+    | Ast.If (_, a, b) -> [ a; b ]
+    | Ast.While (_, b) -> [ b ]
+    | Ast.Seq ss | Ast.Cobegin ss -> ss
+    | _ -> []
+
+  (* Every statement's path, in preorder. *)
+  let paths body =
+    let rec go path s acc =
+      snd
+        (List.fold_left
+           (fun (i, acc) c -> (i + 1, go (path @ [ i ]) c acc))
+           (0, path :: acc) (children s))
+    in
+    List.rev (go [] body [])
+
+  let relate body p q =
+    let rec go s p q =
+      match (p, q) with
+      | [], [] -> Mhp.Equal
+      | [], _ -> Mhp.Before
+      | _, [] -> Mhp.After
+      | i :: p', j :: q' -> (
+        if i = j then go (List.nth (children s) i) p' q'
+        else
+          match s.Ast.node with
+          | Ast.Seq _ -> if i < j then Mhp.Before else Mhp.After
+          | Ast.Cobegin _ -> Mhp.Parallel
+          | Ast.If _ -> Mhp.Exclusive
+          | _ -> assert false)
+    in
+    go body p q
+
+  let rec must_wait (s : Ast.stmt) =
+    match s.Ast.node with
+    | Ast.Wait sem -> Sset.singleton sem
+    | Ast.Seq ss | Ast.Cobegin ss ->
+      List.fold_left (fun acc c -> Sset.union acc (must_wait c)) Sset.empty ss
+    | Ast.If (_, a, b) -> Sset.inter (must_wait a) (must_wait b)
+    | _ -> Sset.empty
+
+  let must_wait_before body path =
+    let rec go s path acc =
+      match path with
+      | [] -> acc
+      | i :: rest ->
+        let acc =
+          match s.Ast.node with
+          | Ast.Seq ss ->
+            List.filteri (fun j _ -> j < i) ss
+            |> List.fold_left (fun acc c -> Sset.union acc (must_wait c)) acc
+          | _ -> acc
+        in
+        go (List.nth (children s) i) rest acc
+    in
+    go body path Sset.empty
+
+  (* Data accesses [(path, span, var, write)] in source order, and
+     semaphore sites [(sem, path, is_signal, under_loop)]. *)
+  let collect body =
+    let accs = ref [] and sites = ref [] in
+    let add path (s : Ast.stmt) var write =
+      accs := (path, s.Ast.span, var, write) :: !accs
+    in
+    let reads path s e =
+      Sset.iter (fun v -> add path s v false) (Ifc_lang.Vars.expr_vars e)
+    in
+    let rec walk path loop (s : Ast.stmt) =
+      (match s.Ast.node with
+      | Ast.Skip -> ()
+      | Ast.Wait sem -> sites := (sem, path, false, loop) :: !sites
+      | Ast.Signal sem -> sites := (sem, path, true, loop) :: !sites
+      | Ast.Assign (x, e) | Ast.Declassify (x, e, _) ->
+        add path s x true;
+        reads path s e
+      | Ast.Send (_, e) -> reads path s e
+      | Ast.Recv (_, x) -> add path s x true
+      | Ast.Store (a, i, e) ->
+        add path s a true;
+        reads path s i;
+        reads path s e
+      | Ast.If (e, _, _) | Ast.While (e, _) -> reads path s e
+      | Ast.Seq _ | Ast.Cobegin _ -> ());
+      let loop = loop || match s.Ast.node with Ast.While _ -> true | _ -> false in
+      List.iteri (fun i c -> walk (path @ [ i ]) loop c) (children s)
+    in
+    walk [] false body;
+    (List.rev !accs, List.rev !sites)
+
+  let handshake_ordered (p : Ast.program) sites p_path q_path =
+    let init sem =
+      List.fold_left
+        (fun acc -> function
+          | Ast.Sem_decl { name; init; _ } when name = sem -> init
+          | _ -> acc)
+        0 p.Ast.decls
+    in
+    let eligible sem =
+      init sem = 0
+      && not (List.exists (fun (s, _, _, loop) -> s = sem && loop) sites)
+    in
+    Sset.exists
+      (fun sem ->
+        eligible sem
+        && List.for_all
+             (fun (s, path, signal, _) ->
+               s <> sem || (not signal) || relate p.Ast.body p_path path = Mhp.Before)
+             sites)
+      (must_wait_before p.Ast.body q_path)
+
+  let may_parallel p sites a b =
+    relate p.Ast.body a b = Mhp.Parallel
+    && (not (handshake_ordered p sites a b))
+    && not (handshake_ordered p sites b a)
+
+  (* Race findings in emission order, same-variable pairs with a write,
+     and the access count. *)
+  let races (p : Ast.program) =
+    let accs, sites = collect p.Ast.body in
+    let endpoints =
+      List.fold_left
+        (fun eps (path, span, var, write) ->
+          if List.exists (fun (p', _, v', _) -> p' = path && v' = var) eps then
+            List.map
+              (fun ((p', s', v', w') as e) ->
+                if p' = path && v' = var then (p', s', v', w' || write) else e)
+              eps
+          else eps @ [ (path, span, var, write) ])
+        [] accs
+    in
+    let atomic =
+      List.map
+        (fun (i : Wellformed.issue) -> i.Wellformed.span)
+        (Wellformed.atomicity_issues p.Ast.body)
+    in
+    let pairs = ref 0 and out = ref [] in
+    let rec scan = function
+      | [] -> ()
+      | (pe, se, ve, we) :: rest ->
+        List.iter
+          (fun (pf, sf, vf, wf) ->
+            if ve = vf && (we || wf) then begin
+              incr pairs;
+              if may_parallel p sites pe pf then
+                out :=
+                  Finding.make ~related:sf Finding.Race Finding.Warning se
+                    (Printf.sprintf "possible %s race on %s with a parallel process%s"
+                       (if we && wf then "write/write" else "read/write")
+                       ve
+                       (if List.mem se atomic || List.mem sf atomic then
+                          "; a concurrent interleaving mid-expression makes the \
+                           atomicity warning here exploitable"
+                        else ""))
+                  :: !out
+            end)
+          rest;
+        scan rest
+    in
+    scan endpoints;
+    (List.rev !out, !pairs, List.length accs)
+end
+
+(* Random programs for the differentials: semaphores, channels, or a
+   cobegin whose first two branches hand off through a fresh semaphore
+   [h] (initially 0) around random statements — the shape the handshake
+   refinement orders. *)
+let handshake_program rng ~size =
+  let piece () = Gen.stmt rng Gen.default ~size:(1 + Prng.int rng (1 + (size / 4))) in
+  Wellformed.infer_decls
+    (Ast.program
+       (Ast.seq
+          [
+            piece ();
+            Ast.cobegin
+              [
+                Ast.seq [ piece (); Ast.signal "h"; piece () ];
+                Ast.seq [ piece (); Ast.wait "h"; piece () ];
+                piece ();
+              ];
+            piece ();
+          ]))
+
+let race_program =
+  QCheck.make ~print:Pretty.program_to_string ~shrink:Arb.shrink_iter
+    (fun st ->
+      let rng = Prng.create (QCheck.Gen.int_bound max_int st) in
+      let size = 1 + Prng.int rng 30 in
+      match Prng.int rng 3 with
+      | 0 -> Gen.program rng Gen.default ~size
+      | 1 -> Gen.program rng Gen.with_channels ~size
+      | _ -> handshake_program rng ~size)
+
+(* Generated programs carry dummy spans, so every finding ties on its
+   span and the emission order decides the report; re-parsing gives
+   them real spans. *)
+let with_reparsed p = [ p; program (Pretty.program_to_string p) ]
+
+let races_match_reference =
+  qtest ~count:300 "race detection matches the all-pairs reference" race_program
+    (fun p ->
+      List.for_all
+        (fun p ->
+          List.for_all
+            (fun (report, analyzed) ->
+              let races, pairs, accesses = Reference.races analyzed in
+              List.filter
+                (fun (f : Finding.t) -> f.Finding.kind = Finding.Race)
+                report.Analyze.findings
+              = List.stable_sort Finding.compare races
+              && report.Analyze.claims.Analyze.race_free = (races = [])
+              && report.Analyze.stats.Analyze.pairs = pairs
+              && report.Analyze.stats.Analyze.accesses = accesses)
+            [
+              (Analyze.run ~dataflow:false p, p);
+              (Analyze.run p, (Prune.analyze p).Prune.program);
+            ])
+        (with_reparsed p))
+
+let relate_matches_reference =
+  qtest ~count:300 "id-based relate matches the root-walking reference"
+    race_program (fun p ->
+      let t = Mhp.create p and body = p.Ast.body in
+      let _, sites = Reference.collect body in
+      let paths = Reference.paths body in
+      (* Paths resolve to their preorder position. *)
+      List.mapi (fun i path -> Mhp.node t path = i) paths |> List.for_all Fun.id
+      (* The ranges after each point hold exactly its later parallel
+         points. *)
+      && List.for_all
+           (fun a ->
+             let u = Mhp.node t a in
+             List.concat_map
+               (fun (lo, hi) -> List.init (hi - lo + 1) (( + ) lo))
+               (Mhp.parallel_after t u ~until:(List.length paths - 1))
+             = List.filter
+                 (fun v -> v > u && Reference.relate body a (List.nth paths v) = Mhp.Parallel)
+                 (List.init (List.length paths) Fun.id))
+           paths
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 let u = Mhp.node t a and v = Mhp.node t b in
+                 Mhp.relate t u v = Reference.relate body a b
+                 && Mhp.may_happen_in_parallel t u v
+                    = Reference.may_parallel p sites a b)
+               paths)
+           paths)
+
+(* Depth and length that were superlinear before statements carried
+   preorder ids (depth 2000 took 21 s): a regression shows as a stalled
+   suite. Pair counts are C(m,2) - C(r,2) per variable, m its endpoints
+   and r the read-only ones. *)
+let test_lint_scale () =
+  let lint name src ~statements ~accesses ~pairs =
+    let r = Analyze.run (program src) in
+    let stats = r.Analyze.stats in
+    check_int (name ^ " statements") statements stats.Analyze.statements;
+    check_int (name ^ " accesses") accesses stats.Analyze.accesses;
+    check_int (name ^ " pairs") pairs stats.Analyze.pairs;
+    check_int (name ^ " races") 0
+      (List.length (List.filter (( = ) "race") (kinds r)))
+  in
+  let d = 2000 and n = 20_000 in
+  let repeat k f = String.concat "" (List.init k f) in
+  (* Per level: an if (reads u), its begin, a := a + 1 and the else arm
+     b := a + 1; the leaf b := b + u. [a]: d writes, d reads; [b]: d + 1
+     writes. *)
+  lint "deep if"
+    ("var u, a, b : integer;\n"
+    ^ repeat d (Printf.sprintf "if u > %d then begin a := a + 1; ")
+    ^ "b := b + u"
+    ^ repeat d (fun _ -> " end else b := a + 1"))
+    ~statements:((4 * d) + 1) ~accesses:((5 * d) + 3)
+    ~pairs:((d * ((2 * d) - 1)) - (d * (d - 1) / 2) + ((d + 1) * d / 2));
+  (* Per level: a while (reads u), its begin and a := b + 1; the leaf
+     b := a + u. [a]: d writes, one read; [b]: d reads, one write. *)
+  lint "deep while"
+    ("var u, a, b : integer;\n"
+    ^ repeat d (fun _ -> "while u > 0 do begin a := b + 1; ")
+    ^ "b := a + u"
+    ^ repeat d (fun _ -> " end"))
+    ~statements:((3 * d) + 1) ~accesses:((3 * d) + 3)
+    ~pairs:(((d + 1) * d / 2) + d);
+  lint "long seq"
+    ("var a : integer;\nbegin "
+    ^ String.concat "; " (List.init n (Printf.sprintf "a := a + %d"))
+    ^ " end")
+    ~statements:(n + 1) ~accesses:(2 * n) ~pairs:(n * (n - 1) / 2)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   ( "analysis",
@@ -487,4 +790,8 @@ let suite =
         test_report_sorted_and_counted;
       claims_sound;
       deadlock_free_implies_no_deadlock;
+      races_match_reference;
+      relate_matches_reference;
+      Alcotest.test_case "lint scales to depth 2000 and 20k statements" `Quick
+        test_lint_scale;
     ] )
