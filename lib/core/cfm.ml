@@ -1,5 +1,7 @@
-(* The Concurrent Flow Mechanism (Figure 2). One post-order pass computes
-   mod, flow and the certification checks of every construct. *)
+(* The Concurrent Flow Mechanism (Figure 2). The rules are one node-level
+   function, [step], over an abstract class domain; one post-order [walk]
+   of it computes mod, flow and the certification checks of every
+   construct. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended
@@ -42,170 +44,166 @@ let rule_name = function
 
 (* Join of two extended-flow values: nil is the identity of ⊕ on the
    extended scheme (Definition 4). *)
-let flow_join l f1 f2 =
+let join_flows join f1 f2 =
   match (f1, f2) with
   | Extended.Nil, f | f, Extended.Nil -> f
-  | Extended.El a, Extended.El b -> Extended.El (l.Lattice.join a b)
+  | Extended.El a, Extended.El b -> Extended.El (join a b)
 
-(* The core traversal is written once, parameterised by how checks are
-   recorded, so [analyze] (full diagnostics) and [certified] (boolean only)
-   cannot drift apart. [record] both logs the check (if it cares) and
-   returns its outcome. *)
-let traverse binding ~self_check ~record stmt =
-  let l = Binding.lattice binding in
-  (* Returns (mod, flow, cert). *)
-  let rec go (s : Ast.stmt) =
-    match s.node with
-    | Ast.Skip -> (l.Lattice.top, Extended.Nil, true)
-    | Ast.Assign (x, e) ->
-      let target = Binding.sbind binding x in
-      let source = Binding.expr_class binding e in
-      let ok = record s.span Assign_direct (Extended.El source) target in
-      (target, Extended.Nil, ok)
-    | Ast.Declassify (x, _, cls) ->
-      (* The named class replaces the expression's class: the escape
-         hatch for data. The target must still clear the named class, and
-         contexts are enforced by the surrounding if/while/seq checks. An
-         unresolvable class name conservatively fails as top. *)
-      let target = Binding.sbind binding x in
-      let source =
-        match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
-      in
-      let ok = record s.span Declassify_direct (Extended.El source) target in
-      (target, Extended.Nil, ok)
-    | Ast.Store (a, i, e) ->
-      (* Denning's array rule: the index is part of the stored
-         information — which slot changed reveals it. *)
-      let target = Binding.sbind binding a in
-      let source =
-        l.Lattice.join (Binding.expr_class binding i) (Binding.expr_class binding e)
-      in
-      let ok = record s.span Store_direct (Extended.El source) target in
-      (target, Extended.Nil, ok)
-    | Ast.Wait sem ->
-      (* mod = flow = sbind(sem); cert = true. The conditional delay of a
-         wait is a global flow of the semaphore's class. *)
-      let c = Binding.sbind binding sem in
-      (c, Extended.El c, true)
-    | Ast.Signal sem ->
-      let c = Binding.sbind binding sem in
-      (c, Extended.Nil, true)
-    | Ast.Send (chan, e) ->
-      (* A send is an assignment into the channel that also signals: the
-         payload's class must flow to the channel's class, and — like a
-         signal — it produces no global flow of its own. mod = sbind(c)
-         means the enclosing if/while/seq checks force every potential
-         sender's context flow below the channel's class, so sbind(c)
-         dominates the global flow of every potential sender (the join the
-         recv rule needs is paid for here). *)
-      let c = Binding.sbind binding chan in
-      let source = Binding.expr_class binding e in
-      let ok = record s.span Send_direct (Extended.El source) c in
-      (c, Extended.Nil, ok)
-    | Ast.Recv (chan, x) ->
-      (* A recv is a wait whose class is the channel's — the conditional
-         delay is a global flow of sbind(c) — followed by an assignment of
-         the delivered message (class sbind(c), which bounds every
-         sender's payload and context) into x. *)
-      let c = Binding.sbind binding chan in
-      let target = Binding.sbind binding x in
-      let ok = record s.span Recv_direct (Extended.El c) target in
-      (l.Lattice.meet c target, Extended.El c, ok)
-    | Ast.If (cond, then_, else_) ->
-      let m1, f1, c1 = go then_ in
-      let m2, f2, c2 = go else_ in
-      let e_class = Binding.expr_class binding cond in
-      let mod_ = l.Lattice.meet m1 m2 in
-      (* flow(S) = nil when both branches are flow-free; otherwise the
-         branch flows joined with sbind(e) — escaping global flows reveal
-         the condition. *)
-      let flow =
-        match flow_join l f1 f2 with
-        | Extended.Nil -> Extended.Nil
-        | Extended.El f -> Extended.El (l.Lattice.join f e_class)
-      in
-      let local_ok = record s.span If_local (Extended.El e_class) mod_ in
-      (mod_, flow, c1 && c2 && local_ok)
-    | Ast.While (cond, body) ->
-      let m1, f1, c1 = go body in
-      let e_class = Binding.expr_class binding cond in
-      (* flow(S) = flow(S1) ⊕ sbind(e): a loop always produces a global
-         flow — its termination is conditional on [e]. *)
-      let flow =
-        Extended.El (l.Lattice.join (Extended.get ~default:l.Lattice.bottom f1) e_class)
-      in
-      let global_ok = record s.span While_global flow m1 in
-      (m1, flow, c1 && global_ok)
-    | Ast.Seq stmts ->
-      (* flow(Sj) <= mod(Si) for all j < i is equivalent to checking the
-         running prefix join (+)_{j<i} flow(Sj) against mod(Si) — which
-         keeps the whole pass linear, the paper's §6 complexity claim.
-         Under ~self_check (the literal j <= i reading) the component's
-         own flow joins the prefix before its check. *)
-      let _, rev_results, ok =
-        List.fold_left
-          (fun (i, acc, ok) s' ->
-            let m, f, c = go s' in
-            (i + 1, (s', i, m, f, c) :: acc, ok && c))
-          (0, [], true) stmts
-      in
-      let results = List.rev rev_results in
-      let mod_ = Lattice.meets l (List.map (fun (_, _, m, _, _) -> m) results) in
-      let flow =
-        List.fold_left (fun acc (_, _, _, f, _) -> flow_join l acc f) Extended.Nil results
-      in
-      let _, global_ok =
-        List.fold_left
-          (fun (prefix, ok_acc) (si, i, mi, fi, _) ->
-            let to_check = if self_check then flow_join l prefix fi else prefix in
-            let ok =
-              if i = 0 && not self_check then true
-              else record si.Ast.span (Seq_global i) to_check mi
-            in
-            (flow_join l prefix fi, ok && ok_acc))
-          (Extended.Nil, true) results
-      in
-      (mod_, flow, ok && global_ok)
-    | Ast.Cobegin branches ->
-      (* Parallel composition needs no extra check: branches execute
-         independently (§4.2). *)
-      let results = List.map go branches in
-      let mod_ = Lattice.meets l (List.map (fun (m, _, _) -> m) results) in
-      let flow =
-        List.fold_left (fun acc (_, f, _) -> flow_join l acc f) Extended.Nil results
-      in
-      (mod_, flow, List.for_all (fun (_, _, c) -> c) results)
-  in
-  go stmt
+let flow_join l f1 f2 = join_flows l.Lattice.join f1 f2
 
 let check_outcome l lhs rhs =
   match lhs with Extended.Nil -> true | Extended.El f -> l.Lattice.leq f rhs
 
+type ('c, 'm) domain = {
+  join : 'c -> 'c -> 'c;
+  meet : 'm -> 'm -> 'm;
+  top : 'm;
+  expr : Ast.expr -> 'c;
+  name : string -> 'c;
+  const : string -> 'c;
+  target : string -> 'm;
+  check : Ifc_lang.Loc.span -> rule -> 'c Extended.elt -> 'm -> bool;
+}
+
+let concrete binding ~check =
+  let l = Binding.lattice binding in
+  {
+    join = l.Lattice.join;
+    meet = l.Lattice.meet;
+    top = l.Lattice.top;
+    expr = Binding.expr_class binding;
+    name = Binding.sbind binding;
+    (* An unresolvable class name conservatively fails as top. *)
+    const =
+      (fun cls -> match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top);
+    target = Binding.sbind binding;
+    check;
+  }
+
+(* Figure 2, written once: the (mod, flow, cert) of [s] from its
+   children's, in [Ast.children] order. Every caller evaluates the
+   children first, so a node's own checks follow its children's. *)
+let step d ~self_check (s : Ast.stmt) children =
+  match (s.node, children) with
+  | Ast.Skip, [] -> (d.top, Extended.Nil, true)
+  | Ast.Assign (x, e), [] ->
+    let target = d.target x in
+    (target, Extended.Nil, d.check s.span Assign_direct (Extended.El (d.expr e)) target)
+  | Ast.Declassify (x, _, cls), [] ->
+    (* The named class replaces the expression's class: the escape
+       hatch for data. The target must still clear the named class, and
+       contexts are enforced by the surrounding if/while/seq checks. *)
+    let target = d.target x in
+    let source = Extended.El (d.const cls) in
+    (target, Extended.Nil, d.check s.span Declassify_direct source target)
+  | Ast.Store (a, i, e), [] ->
+    (* Denning's array rule: the index is part of the stored
+       information — which slot changed reveals it. *)
+    let target = d.target a in
+    let source = d.join (d.expr i) (d.expr e) in
+    (target, Extended.Nil, d.check s.span Store_direct (Extended.El source) target)
+  | Ast.Wait sem, [] ->
+    (* mod = flow = sbind(sem); cert = true. The conditional delay of a
+       wait is a global flow of the semaphore's class. *)
+    (d.target sem, Extended.El (d.name sem), true)
+  | Ast.Signal sem, [] -> (d.target sem, Extended.Nil, true)
+  | Ast.Send (chan, e), [] ->
+    (* A send is an assignment into the channel that also signals: the
+       payload's class must flow to the channel's class, and — like a
+       signal — it produces no global flow of its own. mod = sbind(c)
+       means the enclosing if/while/seq checks force every potential
+       sender's context flow below the channel's class, so sbind(c)
+       dominates the global flow of every potential sender (the join the
+       recv rule needs is paid for here). *)
+    let c = d.target chan in
+    (c, Extended.Nil, d.check s.span Send_direct (Extended.El (d.expr e)) c)
+  | Ast.Recv (chan, x), [] ->
+    (* A recv is a wait whose class is the channel's — the conditional
+       delay is a global flow of sbind(c) — followed by an assignment of
+       the delivered message (class sbind(c), which bounds every
+       sender's payload and context) into x. *)
+    let c = Extended.El (d.name chan) in
+    let target = d.target x in
+    let ok = d.check s.span Recv_direct c target in
+    (d.meet (d.target chan) target, c, ok)
+  | Ast.If (cond, _, _), [ (m1, f1, c1); (m2, f2, c2) ] ->
+    let e = d.expr cond in
+    let mod_ = d.meet m1 m2 in
+    (* flow(S) = nil when both branches are flow-free; otherwise the
+       branch flows joined with sbind(e) — escaping global flows reveal
+       the condition. *)
+    let flow =
+      match join_flows d.join f1 f2 with
+      | Extended.Nil -> Extended.Nil
+      | Extended.El f -> Extended.El (d.join f e)
+    in
+    let local_ok = d.check s.span If_local (Extended.El e) mod_ in
+    (mod_, flow, c1 && c2 && local_ok)
+  | Ast.While (cond, _), [ (m1, f1, c1) ] ->
+    (* flow(S) = flow(S1) ⊕ sbind(e): a loop always produces a global
+       flow — its termination is conditional on [e]. *)
+    let e = d.expr cond in
+    let flow =
+      Extended.El (match f1 with Extended.Nil -> e | Extended.El f -> d.join f e)
+    in
+    let global_ok = d.check s.span While_global flow m1 in
+    (m1, flow, c1 && global_ok)
+  | Ast.Seq stmts, _ ->
+    (* flow(Sj) <= mod(Si) for all j < i is equivalent to checking the
+       running prefix join (+)_{j<i} flow(Sj) against mod(Si) — which
+       keeps the whole pass linear, the paper's §6 complexity claim.
+       Under ~self_check (the literal j <= i reading) the component's
+       own flow joins the prefix before its check. *)
+    let _, mod_, flow, ok =
+      List.fold_left2
+        (fun (i, mod_, prefix, ok) (si : Ast.stmt) (mi, fi, ci) ->
+          let joined = join_flows d.join prefix fi in
+          let ok_i =
+            if i = 0 && not self_check then true
+            else d.check si.span (Seq_global i) (if self_check then joined else prefix) mi
+          in
+          (i + 1, d.meet mod_ mi, joined, ok && ci && ok_i))
+        (0, d.top, Extended.Nil, true) stmts children
+    in
+    (mod_, flow, ok)
+  | Ast.Cobegin _, _ ->
+    (* Parallel composition needs no extra check: branches execute
+       independently (§4.2). *)
+    List.fold_left
+      (fun (mod_, flow, ok) (m, f, c) ->
+        (d.meet mod_ m, join_flows d.join flow f, ok && c))
+      (d.top, Extended.Nil, true) children
+  | _ -> invalid_arg "Cfm.step: children do not match the statement"
+
+let walk d ~self_check stmt =
+  let rec go s = step d ~self_check s (List.map go (Ast.children s)) in
+  go stmt
+
 let analyze ?(self_check = false) binding stmt =
   let l = Binding.lattice binding in
   let checks = ref [] in
-  let record span rule lhs rhs =
+  let check span rule lhs rhs =
     let ok = check_outcome l lhs rhs in
     checks := { span; rule; lhs; rhs; ok } :: !checks;
     ok
   in
-  let mod_, flow, certified = traverse binding ~self_check ~record stmt in
+  let mod_, flow, certified = walk (concrete binding ~check) ~self_check stmt in
   { certified; mod_; flow; checks = List.rev !checks }
 
 let certified ?(self_check = false) binding stmt =
   let l = Binding.lattice binding in
-  let record _span _rule lhs rhs = check_outcome l lhs rhs in
-  let _, _, cert = traverse binding ~self_check ~record stmt in
+  let check _span _rule lhs rhs = check_outcome l lhs rhs in
+  let _, _, cert = walk (concrete binding ~check) ~self_check stmt in
   cert
 
+let unchecked _ _ _ _ = true
+
 let mod_of binding stmt =
-  let record _ _ _ _ = true in
-  let mod_, _, _ = traverse binding ~self_check:false ~record stmt in
+  let mod_, _, _ = walk (concrete binding ~check:unchecked) ~self_check:false stmt in
   mod_
 
 let flow_of binding stmt =
-  let record _ _ _ _ = true in
-  let _, flow, _ = traverse binding ~self_check:false ~record stmt in
+  let _, flow, _ = walk (concrete binding ~check:unchecked) ~self_check:false stmt in
   flow
 
 let failed_checks r = List.filter (fun c -> not c.ok) r.checks

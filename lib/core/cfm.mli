@@ -78,6 +78,68 @@ val check_outcome : 'a Ifc_lattice.Lattice.t -> 'a Extended.elt -> 'a -> bool
 (** [check_outcome l lhs rhs] decides [lhs <= rhs] with [lhs] in the
     extended scheme ([Nil] always passes). Shared with {!Denning}. *)
 
+val flow_join :
+  'a Ifc_lattice.Lattice.t -> 'a Extended.elt -> 'a Extended.elt -> 'a Extended.elt
+(** [flow_join l f1 f2] is [f1 (+) f2] in the extended scheme: [Nil] is
+    the identity (Definition 4). *)
+
+(** {1 Figure 2, once}
+
+    The rules are one node-level function, {!step}, over an abstract
+    class domain. [Cfm] runs it over the concrete domain ({!concrete});
+    the incremental certifier ([Ifc_store.Incremental]) runs it over
+    memoised child summaries; the module-system summaries
+    ([Ifc_modsys.Summary]) run it over a symbolic domain whose classes
+    keep the imports unresolved. *)
+
+(** A class domain. ['c] classifies data and global flows (flows are
+    ['c Extended.elt], [Nil] for "no global flow"); ['m] is the domain
+    of [mod]. In the concrete domain both are lattice elements. *)
+type ('c, 'm) domain = {
+  join : 'c -> 'c -> 'c;
+  meet : 'm -> 'm -> 'm;
+  top : 'm;  (** [mod] of a statement that modifies nothing. *)
+  expr : Ifc_lang.Ast.expr -> 'c;  (** [sbind(e)]: the class of an expression. *)
+  name : string -> 'c;
+      (** [sbind(x)] read as data: the class of a semaphore or channel
+          whose delay is a global flow. *)
+  const : string -> 'c;
+      (** The class a [declassify … to C] constant names; unresolvable
+          names are the lattice top. *)
+  target : string -> 'm;  (** [sbind(x)] as the [mod] of a modified name. *)
+  check : Ifc_lang.Loc.span -> rule -> 'c Extended.elt -> 'm -> bool;
+      (** [check span rule lhs rhs] is called once per certification
+          check [lhs <= rhs], in evaluation order, and returns its
+          outcome. It is where a caller records, decides or decomposes
+          checks. *)
+}
+
+val concrete :
+  'a Binding.t ->
+  check:(Ifc_lang.Loc.span -> rule -> 'a Extended.elt -> 'a -> bool) ->
+  ('a, 'a) domain
+(** The domain of a static binding: classes are the binding's lattice
+    elements, [expr], [name] and [target] read the binding. *)
+
+val step :
+  ('c, 'm) domain ->
+  self_check:bool ->
+  Ifc_lang.Ast.stmt ->
+  ('m * 'c Extended.elt * bool) list ->
+  'm * 'c Extended.elt * bool
+(** [step d ~self_check s children] is [(mod S, flow S, cert S)] for one
+    statement [S], given the triples of its {!Ifc_lang.Ast.children} in
+    order. It calls [d.check] for [S]'s own checks only — for a block,
+    the [Seq_global i] checks in component order — so a caller that
+    evaluates the children first records checks in post-order. Raises
+    [Invalid_argument] if [children] does not match [s]'s shape. *)
+
+val walk :
+  ('c, 'm) domain -> self_check:bool -> Ifc_lang.Ast.stmt -> 'm * 'c Extended.elt * bool
+(** [walk d ~self_check s] runs {!step} bottom-up over all of [s], children
+    left to right before their parent. {!analyze}, {!certified}, {!mod_of}
+    and {!flow_of} are [walk] over {!concrete}. *)
+
 val analyze :
   ?self_check:bool ->
   'a Binding.t ->

@@ -1,4 +1,5 @@
-(* The Denning & Denning baseline: local flows only, no [flow] function. *)
+(* The Denning & Denning baseline: local flows only, no [flow] function.
+   Its rules differ from Figure 2's, so it does not run Cfm.step. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended

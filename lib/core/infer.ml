@@ -1,4 +1,9 @@
-(* Symbolic constraint extraction and least-binding inference. *)
+(* Symbolic constraint extraction and least-binding inference.
+
+   This walk is not an instance of Cfm.step: it emits one constraint per
+   modified variable rather than one per check, and a block emits each
+   component's constraint before walking the next component, so the
+   --requirements output is ordered differently from CFM's check list. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Smap = Ifc_support.Smap
@@ -104,8 +109,8 @@ let constraints ?(self_check = false) stmt =
       emit s.span Cfm.While_global flow_atoms m1;
       (m1, Some flow_atoms)
     | Ast.Seq stmts ->
-      (* Prefix-join form, mirroring Cfm.traverse: one constraint per
-         component bounding the join of all earlier flows. *)
+      (* Prefix-join form, as in Cfm.step: one constraint per component
+         bounding the join of all earlier flows. *)
       let _, _, mod_set, flow =
         List.fold_left
           (fun (i, prefix, mods, flow) s' ->

@@ -172,6 +172,15 @@ end
     added later by {!Wellformed.infer_decls}. *)
 let program ?(decls = []) body = { decls; body }
 
+(** [children s] is [s]'s immediate sub-statements in source order
+    (then-branch before else-branch). *)
+let children s =
+  match s.node with
+  | Skip | Assign _ | Declassify _ | Store _ | Wait _ | Signal _ | Send _ | Recv _ -> []
+  | If (_, then_, else_) -> [ then_; else_ ]
+  | While (_, body) -> [ body ]
+  | Seq ss | Cobegin ss -> ss
+
 (* ------------------------------------------------------------------ *)
 (* Structural equality and size, ignoring spans. *)
 

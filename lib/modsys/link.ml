@@ -142,11 +142,6 @@ let certify ?store ~lattice ?default (l : Ast.linked) =
               flow_issue "main program fails certification under the linked binding";
             [ ("main", Some r.Cfm.mod_, Some r.Cfm.flow) ]
         in
-        let flow_join f1 f2 =
-          match (f1, f2) with
-          | Extended.Nil, f | f, Extended.Nil -> f
-          | Extended.El a, Extended.El b -> Extended.El (lattice.Lattice.join a b)
-        in
         let _ =
           List.fold_left
             (fun (i, prefix) (name, mod_, flow) ->
@@ -160,7 +155,7 @@ let certify ?store ~lattice ?default (l : Ast.linked) =
               | Some _, _ -> ());
               let prefix =
                 match flow with
-                | Some f -> flow_join prefix f
+                | Some f -> Cfm.flow_join lattice prefix f
                 | None ->
                   flow_issue "module %s: summary flow does not resolve" name;
                   prefix

@@ -1,10 +1,11 @@
-(* The symbolic Figure 2 walk. Each case mirrors Cfm.traverse exactly;
-   the only difference is the domain: classes carry an import part. *)
+(* The symbolic instance of Figure 2: Cfm.step over a domain whose
+   classes carry an import part. *)
 
 module Lattice = Ifc_lattice.Lattice
 module Extended = Ifc_lattice.Extended
 module Ast = Ifc_lang.Ast
 module Binding = Ifc_core.Binding
+module Cfm = Ifc_core.Cfm
 module Linked = Ifc_cert.Linked
 module Store = Ifc_store.Store
 module Sset = Ifc_support.Sset
@@ -15,59 +16,16 @@ type sym = { base : string; over : Sset.t }
 (* Meet-form symbolic mod: floor ⊗ ⊗_{y ∈ under} cls(y). *)
 type symod = { floor : string; under : Sset.t }
 
-type syflow = F_nil | F_el of sym
-
-type walk_state = {
-  lat : string Lattice.t;
-  bind : string Binding.t;
-  imports : Sset.t;
-  mutable constraints : Linked.constr list;
-  mutable locals_ok : bool;
-  mutable sends : Sset.t;
-  mutable recvs : Sset.t;
-  mutable waits : Sset.t;
-  mutable signals : Sset.t;
-}
-
-let sym_const _st c = { base = c; over = Sset.empty }
-
-let sym_join st a b = { base = st.lat.Lattice.join a.base b.base; over = Sset.union a.over b.over }
-
-let sym_of_name st x =
-  if Sset.mem x st.imports then { base = st.lat.Lattice.bottom; over = Sset.singleton x }
-  else sym_const st (Binding.sbind st.bind x)
-
-let rec sym_of_expr st = function
-  | Ast.Int _ | Ast.Bool _ -> sym_const st st.lat.Lattice.bottom
-  | Ast.Var x -> sym_of_name st x
-  | Ast.Index (a, i) -> sym_join st (sym_of_name st a) (sym_of_expr st i)
-  | Ast.Unop (_, e) -> sym_of_expr st e
-  | Ast.Binop (_, e1, e2) -> sym_join st (sym_of_expr st e1) (sym_of_expr st e2)
-
-let mod_of_name st x =
-  if Sset.mem x st.imports then { floor = st.lat.Lattice.top; under = Sset.singleton x }
-  else { floor = Binding.sbind st.bind x; under = Sset.empty }
-
-let mod_meet st a b =
-  { floor = st.lat.Lattice.meet a.floor b.floor; under = Sset.union a.under b.under }
-
-let mod_top st = { floor = st.lat.Lattice.top; under = Sset.empty }
-
-let flow_join st f1 f2 =
-  match (f1, f2) with
-  | F_nil, f | f, F_nil -> f
-  | F_el a, F_el b -> F_el (sym_join st a b)
-
-(* Decompose a symbolic check [flow <= mod] into atoms. Concrete/concrete
-   atoms discharge now into [locals_ok]; anything touching an import
+(* Decompose a symbolic check [lhs <= rhs] into atoms. Concrete/concrete
+   atoms discharge now (the result is their conjunction, so the walk's
+   cert is the module's [locals_ok]); anything touching an import
    becomes a residual constraint. Trivial atoms — a bottom on the left, a
    top on the right, cls(y) <= cls(y) — are dropped, which is what keeps
    the residue bounded by the interface, not the body. *)
-let record st lhs rhs =
+let check l constraints lhs rhs =
   match lhs with
-  | F_nil -> ()
-  | F_el { base; over } ->
-    let l = st.lat in
+  | Extended.Nil -> true
+  | Extended.El { base; over } ->
     let lhs_atoms =
       (if l.Lattice.equal base l.Lattice.bottom then [] else [ `Const base ])
       @ List.map (fun y -> `Cls y) (Sset.elements over)
@@ -76,102 +34,72 @@ let record st lhs rhs =
       (if l.Lattice.equal rhs.floor l.Lattice.top then [] else [ `Const rhs.floor ])
       @ List.map (fun z -> `Cls z) (Sset.elements rhs.under)
     in
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b ->
+    List.fold_left
+      (fun ok a ->
+        List.fold_left
+          (fun ok b ->
             match (a, b) with
-            | `Const k1, `Const k2 ->
-              if not (l.Lattice.leq k1 k2) then st.locals_ok <- false
+            | `Const k1, `Const k2 -> ok && l.Lattice.leq k1 k2
             | `Cls y, `Const k ->
-              st.constraints <- Linked.Upper (y, l.Lattice.to_string k) :: st.constraints
+              constraints := Linked.Upper (y, l.Lattice.to_string k) :: !constraints;
+              ok
             | `Const k, `Cls z ->
-              st.constraints <- Linked.Lower (l.Lattice.to_string k, z) :: st.constraints
+              constraints := Linked.Lower (l.Lattice.to_string k, z) :: !constraints;
+              ok
             | `Cls y, `Cls z ->
               if not (String.equal y z) then
-                st.constraints <- Linked.Rel (y, z) :: st.constraints)
-          rhs_atoms)
-      lhs_atoms
+                constraints := Linked.Rel (y, z) :: !constraints;
+              ok)
+          ok rhs_atoms)
+      true lhs_atoms
 
-(* The traversal. Returns (mod, flow); checks and obligations accumulate
-   in the state. self_check is pinned to false — the default reading, and
-   the one Link and the whole-program comparison use. *)
-let rec go st (s : Ast.stmt) =
-  let l = st.lat in
-  match s.node with
-  | Ast.Skip -> (mod_top st, F_nil)
-  | Ast.Assign (x, e) ->
-    let target = mod_of_name st x in
-    record st (F_el (sym_of_expr st e)) target;
-    (target, F_nil)
-  | Ast.Declassify (x, _, cls) ->
-    let target = mod_of_name st x in
-    let source =
-      match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
+let domain l bind imports constraints =
+  let const c = { base = c; over = Sset.empty } in
+  let join a b = { base = l.Lattice.join a.base b.base; over = Sset.union a.over b.over } in
+  let name x =
+    if Sset.mem x imports then { base = l.Lattice.bottom; over = Sset.singleton x }
+    else const (Binding.sbind bind x)
+  in
+  let rec expr = function
+    | Ast.Int _ | Ast.Bool _ -> const l.Lattice.bottom
+    | Ast.Var x -> name x
+    | Ast.Index (a, i) -> join (name a) (expr i)
+    | Ast.Unop (_, e) -> expr e
+    | Ast.Binop (_, e1, e2) -> join (expr e1) (expr e2)
+  in
+  {
+    Cfm.join;
+    meet =
+      (fun a b ->
+        { floor = l.Lattice.meet a.floor b.floor; under = Sset.union a.under b.under });
+    top = { floor = l.Lattice.top; under = Sset.empty };
+    expr;
+    name;
+    const =
+      (fun cls ->
+        const (match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top));
+    target =
+      (fun x ->
+        if Sset.mem x imports then { floor = l.Lattice.top; under = Sset.singleton x }
+        else { floor = Binding.sbind bind x; under = Sset.empty });
+    check = (fun _ _ lhs rhs -> check l constraints lhs rhs);
+  }
+
+(* The synchronization obligations: which names the body sends on,
+   receives from, waits on and signals. *)
+let obligations body =
+  let rec go ((sends, recvs, waits, signals) as acc) (s : Ast.stmt) =
+    let acc =
+      match s.node with
+      | Ast.Send (c, _) -> (Sset.add c sends, recvs, waits, signals)
+      | Ast.Recv (c, _) -> (sends, Sset.add c recvs, waits, signals)
+      | Ast.Wait x -> (sends, recvs, Sset.add x waits, signals)
+      | Ast.Signal x -> (sends, recvs, waits, Sset.add x signals)
+      | _ -> acc
     in
-    record st (F_el (sym_const st source)) target;
-    (target, F_nil)
-  | Ast.Store (a, i, e) ->
-    let target = mod_of_name st a in
-    let source = sym_join st (sym_of_expr st i) (sym_of_expr st e) in
-    record st (F_el source) target;
-    (target, F_nil)
-  | Ast.Wait sem ->
-    st.waits <- Sset.add sem st.waits;
-    (mod_of_name st sem, F_el (sym_of_name st sem))
-  | Ast.Signal sem ->
-    st.signals <- Sset.add sem st.signals;
-    (mod_of_name st sem, F_nil)
-  | Ast.Send (chan, e) ->
-    st.sends <- Sset.add chan st.sends;
-    let c = mod_of_name st chan in
-    record st (F_el (sym_of_expr st e)) c;
-    (c, F_nil)
-  | Ast.Recv (chan, x) ->
-    st.recvs <- Sset.add chan st.recvs;
-    let target = mod_of_name st x in
-    record st (F_el (sym_of_name st chan)) target;
-    (mod_meet st (mod_of_name st chan) target, F_el (sym_of_name st chan))
-  | Ast.If (cond, then_, else_) ->
-    let m1, f1 = go st then_ in
-    let m2, f2 = go st else_ in
-    let e_sym = sym_of_expr st cond in
-    let mod_ = mod_meet st m1 m2 in
-    let flow =
-      match flow_join st f1 f2 with
-      | F_nil -> F_nil
-      | F_el f -> F_el (sym_join st f e_sym)
-    in
-    record st (F_el e_sym) mod_;
-    (mod_, flow)
-  | Ast.While (cond, body) ->
-    let m1, f1 = go st body in
-    let e_sym = sym_of_expr st cond in
-    let flow =
-      F_el
-        (match f1 with
-        | F_nil -> e_sym
-        | F_el f -> sym_join st f e_sym)
-    in
-    record st flow m1;
-    (m1, flow)
-  | Ast.Seq stmts ->
-    let results = List.map (fun s' -> go st s') stmts in
-    let mod_ = List.fold_left (fun acc (m, _) -> mod_meet st acc m) (mod_top st) results in
-    let flow = List.fold_left (fun acc (_, f) -> flow_join st acc f) F_nil results in
-    let _ =
-      List.fold_left
-        (fun (i, prefix) (mi, fi) ->
-          if i > 0 then record st prefix mi;
-          (i + 1, flow_join st prefix fi))
-        (0, F_nil) results
-    in
-    (mod_, flow)
-  | Ast.Cobegin branches ->
-    let results = List.map (fun s' -> go st s') branches in
-    let mod_ = List.fold_left (fun acc (m, _) -> mod_meet st acc m) (mod_top st) results in
-    let flow = List.fold_left (fun acc (_, f) -> flow_join st acc f) F_nil results in
-    (mod_, flow)
+    List.fold_left go acc (Ast.children s)
+  in
+  go (Sset.empty, Sset.empty, Sset.empty, Sset.empty) body
 
 let summarize ~lattice ?default (m : Ast.module_unit) =
   let resolve what cls =
@@ -192,20 +120,15 @@ let summarize ~lattice ?default (m : Ast.module_unit) =
     (fun bind ->
       Result.bind (resolve_entries "provides" m.iface.provides) (fun provides ->
           Result.bind (resolve_entries "requires" m.iface.requires) (fun requires ->
-              let st =
-                {
-                  lat = lattice;
-                  bind;
-                  imports = Sset.of_list (List.map fst requires);
-                  constraints = [];
-                  locals_ok = true;
-                  sends = Sset.empty;
-                  recvs = Sset.empty;
-                  waits = Sset.empty;
-                  signals = Sset.empty;
-                }
+              let constraints = ref [] in
+              (* self_check is pinned to false — the default reading, and
+                 the one Link and the whole-program comparison use. *)
+              let mod_, flow, locals_ok =
+                Cfm.walk
+                  (domain lattice bind (Sset.of_list (List.map fst requires)) constraints)
+                  ~self_check:false m.m_body
               in
-              let mod_, flow = go st m.m_body in
+              let sends, recvs, waits, signals = obligations m.m_body in
               let to_s = lattice.Lattice.to_string in
               let exports =
                 List.map (fun (x, _) -> (x, to_s (Binding.sbind bind x))) provides
@@ -228,15 +151,15 @@ let summarize ~lattice ?default (m : Ast.module_unit) =
                   smod = { Linked.floor = to_s mod_.floor; under = Sset.elements mod_.under };
                   sflow =
                     (match flow with
-                    | F_nil -> Linked.F_nil
-                    | F_el { base; over } ->
+                    | Extended.Nil -> Linked.F_nil
+                    | Extended.El { base; over } ->
                       Linked.F_sym { base = to_s base; over = Sset.elements over });
-                  constraints = st.constraints;
-                  sends = Sset.elements st.sends;
-                  recvs = Sset.elements st.recvs;
-                  waits = Sset.elements st.waits;
-                  signals = Sset.elements st.signals;
-                  locals_ok = st.locals_ok;
+                  constraints = !constraints;
+                  sends = Sset.elements sends;
+                  recvs = Sset.elements recvs;
+                  waits = Sset.elements waits;
+                  signals = Sset.elements signals;
+                  locals_ok;
                   exports_ok;
                 })))
 

@@ -13,10 +13,12 @@
     evaluation therefore costs the number of {e distinct} atoms — bounded
     by interface size and lattice size, never by module body size.
 
-    The walk mirrors [Ifc_core.Cfm.traverse] case for case (the same
-    discipline as the incremental certifier's [combine]); the equivalence
-    "summary resolved under a linked binding = direct CFM on the body" is
-    under test on random modules. Summaries are persisted through the
+    The walk is {!Ifc_core.Cfm.walk} itself — the one node-level rule
+    function {!Ifc_core.Cfm.step} that CFM and the incremental certifier
+    also run — instantiated with the symbolic domain; the decomposition
+    into atoms is that domain's [check]. The equivalence "summary
+    resolved under a linked binding = direct CFM on the body" is under
+    test on random modules, on a chain and on a powerset. Summaries are persisted through the
     store's summary seam ({!Ifc_store.Store.add_summary}), keyed by
     {!key} — the module's structural digest plus the classification
     context. *)

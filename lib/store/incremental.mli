@@ -2,15 +2,18 @@
 
     Figure 2's flow mechanism is syntax-directed: the [mod], [flow] and
     certification verdict of a construct are functions of its children's
-    triples plus its own atoms (condition classes, binding lookups).
-    Those triples therefore compose — and cache. This module keys each
-    subtree's triple (its {e summary}) by a structural digest covering
-    the subtree's printed form and the certification context (binding,
-    scheme, self-check mode), memoises summaries in memory, and — when a
-    {!Store} is attached — persists them, so re-certifying an edited
-    program recomputes only the {e spine}: the nodes from each changed
-    leaf up to the root. Every untouched subtree is answered by digest
-    lookup without a single lattice operation.
+    triples plus its own atoms (condition classes, binding lookups) —
+    exactly the node-level rule function {!Ifc_core.Cfm.step}. Those
+    triples therefore compose — and cache. This module keys each
+    subtree's triple (its {e summary}) by a digest of the node's
+    structural bytes ({!Ifc_lang.Structural.node}), its children's keys
+    and the certification context (binding, scheme, self-check mode),
+    memoises summaries in memory, and — when a {!Store} is attached —
+    persists them, so re-certifying an edited program recomputes only
+    the {e spine}: the nodes from each changed leaf up to the root, each
+    by one {!Ifc_core.Cfm.step} over its children's summaries. Every
+    untouched subtree is answered by digest lookup without a single
+    lattice operation.
 
     The digest pass itself always walks the whole program (hashing is
     the only way to recognise an unchanged subtree), but it performs no

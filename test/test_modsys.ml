@@ -196,15 +196,23 @@ let test_agreement_hand_cases () =
 
 (* ------------------------------------------------------------------ *)
 (* Random exactness: a summary resolved under a concrete class
-   assignment equals direct CFM on the module body. *)
+   assignment equals direct CFM on the module body — mod, flow and
+   verdict — on the two-point chain and on a powerset, where join and
+   meet are not max and min and classes can be incomparable. *)
 
-let class_of salt v =
-  let arr = Array.of_list two.Lattice.elements in
+let class_in lattice salt v =
+  let arr = Array.of_list lattice.Lattice.elements in
   arr.(abs (Hashtbl.hash (salt, v)) mod Array.length arr)
+
+let class_of = class_in two
+
+let powerset = Lattice.stringify (Ifc_lattice.Powerset.make [ "a"; "b"; "c" ])
 
 let prop_summary_exact (bp : string Qcheck_arbitrary.bound_program) =
   let prog = bp.Qcheck_arbitrary.prog in
   let salt = bp.Qcheck_arbitrary.salt in
+  let lat = bp.Qcheck_arbitrary.lattice in
+  let class_of = class_in lat salt in
   let vars = Sset.elements (Vars.all_vars prog.Ast.body) in
   let is_import v = abs (Hashtbl.hash (salt + 1, v)) mod 3 = 0 in
   let imports = List.filter is_import vars in
@@ -216,25 +224,26 @@ let prop_summary_exact (bp : string Qcheck_arbitrary.bound_program) =
           Ast.m_name = "m";
           provides = [];
           requires =
-            List.map (fun v -> { Ast.iv_name = v; iv_class = "low" }) imports;
+            List.map
+              (fun v -> { Ast.iv_name = v; iv_class = lat.Lattice.to_string lat.Lattice.bottom })
+              imports;
         };
-      m_decls =
-        List.map (fun v -> Ast.Var_decl { name = v; cls = Some (class_of salt v) }) locals;
+      m_decls = List.map (fun v -> Ast.Var_decl { name = v; cls = Some (class_of v) }) locals;
       m_body = prog.Ast.body;
     }
   in
-  match Summary.summarize ~lattice:two m with
+  match Summary.summarize ~lattice:lat m with
   | Error e -> QCheck.Test.fail_reportf "summarize: %s" e
   | Ok s ->
-    let bind = Binding.make two (List.map (fun v -> (v, class_of salt v)) vars) in
-    let cls v = Some (class_of salt v) in
+    let bind = Binding.make lat (List.map (fun v -> (v, class_of v)) vars) in
+    let cls v = Some (class_of v) in
     let r = Cfm.analyze bind prog.Ast.body in
-    let resolved_mod = Summary.resolve_smod ~lattice:two ~cls s.Linked.smod in
-    let resolved_flow = Summary.resolve_sflow ~lattice:two ~cls s.Linked.sflow in
+    let resolved_mod = Summary.resolve_smod ~lattice:lat ~cls s.Linked.smod in
+    let resolved_flow = Summary.resolve_sflow ~lattice:lat ~cls s.Linked.sflow in
     let summary_cert =
       s.Linked.locals_ok
       && List.for_all
-           (fun c -> Summary.eval_constr ~lattice:two ~cls c = Some true)
+           (fun c -> Summary.eval_constr ~lattice:lat ~cls c = Some true)
            s.Linked.constraints
     in
     if resolved_mod <> Some r.Cfm.mod_ then
@@ -580,4 +589,6 @@ let suite =
       Alcotest.test_case "refine: leak rejected" `Quick test_refine_leak_rejected;
       Alcotest.test_case "refine: soundness witness" `Quick test_refine_soundness_witness;
       Alcotest.test_case "Job.Link bridge" `Quick test_job_link;
+      qtest ~count:200 "summary = direct CFM, powerset scheme"
+        (Qcheck_arbitrary.bound_program powerset) prop_summary_exact;
     ] )

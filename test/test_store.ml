@@ -6,6 +6,7 @@
    agreeing with the reference CFM while recomputing only the spine. *)
 
 module Lattice = Ifc_lattice.Lattice
+module Extended = Ifc_lattice.Extended
 module Chain = Ifc_lattice.Chain
 module Ast = Ifc_lang.Ast
 module Gen = Ifc_lang.Gen
@@ -412,22 +413,33 @@ let test_batch_warm_restart_from_store () =
 (* ------------------------------------------------------------------ *)
 (* Incremental certification *)
 
+(* The incremental certifier against Cfm.analyze — cert, mod and flow —
+   on the two-point chain and on MLS, where join and meet are not max and
+   min and classes can be incomparable. *)
 let test_incremental_matches_cfm () =
-  let rng = Prng.create 515253 in
-  let ok = ref 0 in
-  for i = 1 to 120 do
-    let p = Gen.program rng Gen.default ~size:(1 + (i mod 30)) in
-    let b = random_binding rng two p.Ast.body in
-    let self_check = i mod 3 = 0 in
-    let ctx = Incremental.create ~self_check b in
-    let reference = Cfm.analyze ~self_check b p.Ast.body in
-    let s = Incremental.certify ctx p.Ast.body in
-    if
-      s.Incremental.cert = reference.Cfm.certified
-      && String.equal s.Incremental.mod_ (two.Lattice.to_string reference.Cfm.mod_)
-    then incr ok
-  done;
-  check_int "incremental agrees with Cfm.analyze on 120 random programs" 120 !ok
+  List.iter
+    (fun lat ->
+      let ext = Extended.make lat in
+      let rng = Prng.create 515253 in
+      let ok = ref 0 in
+      for i = 1 to 120 do
+        let p = Gen.program rng Gen.default ~size:(1 + (i mod 30)) in
+        let b = random_binding rng lat p.Ast.body in
+        let self_check = i mod 3 = 0 in
+        let ctx = Incremental.create ~self_check b in
+        let reference = Cfm.analyze ~self_check b p.Ast.body in
+        let s = Incremental.certify ctx p.Ast.body in
+        if
+          s.Incremental.cert = reference.Cfm.certified
+          && String.equal s.Incremental.mod_ (lat.Lattice.to_string reference.Cfm.mod_)
+          && ext.Lattice.equal s.Incremental.flow reference.Cfm.flow
+        then incr ok
+      done;
+      check_int
+        (Printf.sprintf "incremental agrees with Cfm.analyze on 120 random programs (%s)"
+           lat.Lattice.name)
+        120 !ok)
+    [ two; Lattice.stringify Ifc_lattice.Mls.standard ]
 
 let test_incremental_memo_reuse () =
   let b = Binding.make two ~default:two.Lattice.bottom [] in
