@@ -1596,9 +1596,8 @@ let serve_cmd =
       value
       & opt int (max 1 (Domain.recommended_domain_count ()))
       & info [ "shards" ] ~docv:"N"
-          ~doc:"Connection-shard event loops (defaults to the recommended \
-                domain count). 0 selects the legacy thread-per-connection \
-                engine.")
+          ~doc:"Connection-shard event loops, at least 1 (defaults to the \
+                recommended domain count).")
   in
   let cache_size =
     Arg.(
@@ -2006,8 +2005,8 @@ let run_loadgen socket tcp wait json_out clients window requests distinct
             if i < 5 then begin
               Fmt.epr "divergence id %d:@." d.Oracle.id;
               Fmt.epr "  request: %s@." d.Oracle.request;
-              Fmt.epr "  legacy:  %s@." d.Oracle.legacy;
-              Fmt.epr "  sharded: %s@." d.Oracle.sharded
+              Fmt.epr "  reference: %s@." d.Oracle.reference;
+              Fmt.epr "  sharded:   %s@." d.Oracle.sharded
             end)
           ds;
         Ok 2
@@ -2145,9 +2144,10 @@ let loadgen_cmd =
       & info [ "oracle" ]
           ~doc:
             "Run the differential server oracle instead of a load: replay \
-             one seeded stream against the legacy and sharded engines \
-             (booted in-process; no --socket/--tcp needed) and demand \
-             identical responses. Exit code 2 on divergence.")
+             one seeded stream serially through an in-process reference \
+             server and pipelined against the sharded engine (both booted \
+             in-process; no --socket/--tcp needed) and demand identical \
+             responses. Exit code 2 on divergence.")
   in
   let seed =
     Arg.(
@@ -2171,8 +2171,8 @@ let loadgen_cmd =
        ~doc:
          "Drive a running certification daemon with concurrent pipelined \
           clients and report throughput and latency percentiles — or, with \
-          $(b,--oracle), differentially test the two connection engines \
-          against each other. Exit code 2 on protocol errors, zero \
+          $(b,--oracle), differentially test the sharded engine against an \
+          in-process serial reference. Exit code 2 on protocol errors, zero \
           successful responses, or oracle divergence.")
     Term.(
       const run_loadgen $ socket_arg $ tcp_arg $ wait $ json_out $ clients

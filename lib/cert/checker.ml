@@ -76,11 +76,7 @@ let check (c : Cert.t) (program : Ast.program) =
            "certificate binds [%s] but the program's variables are [%s]"
            (String.concat " " bound)
            (String.concat " " vars));
-    let elem cls =
-      match lat.Lattice.of_string cls with
-      | Ok e -> e
-      | Error _ -> lat.Lattice.top
-    in
+    let elem = Lattice.of_string_or_top lat in
     let binding =
       Binding.make lat (List.map (fun (v, cls) -> (v, elem cls)) c.Cert.binds)
     in

@@ -74,8 +74,7 @@ let concrete binding ~check =
     expr = Binding.expr_class binding;
     name = Binding.sbind binding;
     (* An unresolvable class name conservatively fails as top. *)
-    const =
-      (fun cls -> match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top);
+    const = Lattice.of_string_or_top l;
     target = Binding.sbind binding;
     check;
   }

@@ -24,9 +24,7 @@ let traverse ~on_concurrency binding ~record ~reject stmt =
       (target, ok)
     | Ast.Declassify (x, _, cls) ->
       let target = Binding.sbind binding x in
-      let source =
-        match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
-      in
+      let source = Lattice.of_string_or_top l cls in
       let ok = record s.span Cfm.Declassify_direct (Extended.El source) target in
       (target, ok)
     | Ast.Store (a, i, e) ->

@@ -75,9 +75,7 @@ let analyze binding stmt =
       { st with classes = Smap.add x c st.classes }
     | Ast.Declassify (x, _, cls) ->
       (* Data declassified to the named class; context still applies. *)
-      let named =
-        match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
-      in
+      let named = Lattice.of_string_or_top l cls in
       let c = join named (join pc st.global) in
       { st with classes = Smap.add x c st.classes }
     | Ast.Store (a, i, e) ->

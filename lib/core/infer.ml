@@ -149,8 +149,7 @@ let solve (l : 'a Lattice.t) ~fixed constrs =
   let fixed_map = Smap.of_list fixed in
   let value env = function
     | Const_low -> l.Lattice.bottom
-    | Const_named c -> (
-      match l.Lattice.of_string c with Ok x -> x | Error _ -> l.Lattice.top)
+    | Const_named c -> Lattice.of_string_or_top l c
     | Class v -> Smap.find_or ~default:l.Lattice.bottom v env
   in
   let env =

@@ -86,9 +86,7 @@ let step_leaf (lat : 'a Lattice.t) (st : 'a state) pc (s : Ast.stmt) =
       (TNil, { st with store = Smap.add x v st.store; classes = Smap.add x c st.classes })
   | Ast.Declassify (x, e, cls) ->
     let v = Eval.expr (env_of st) e in
-    let named =
-      match lat.Lattice.of_string cls with Ok c -> c | Error _ -> lat.Lattice.top
-    in
+    let named = Lattice.of_string_or_top lat cls in
     let c = lat.Lattice.join named (lat.Lattice.join pc st.global) in
     Some
       (TNil, { st with store = Smap.add x v st.store; classes = Smap.add x c st.classes })

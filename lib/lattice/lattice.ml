@@ -17,6 +17,9 @@ type 'a t = {
 
 let pp l ppf x = Fmt.string ppf (l.to_string x)
 
+let of_string_or_top l name =
+  match l.of_string name with Ok c -> c | Error _ -> l.top
+
 let mem l x = List.exists (l.equal x) l.elements
 
 let joins l xs = List.fold_left l.join l.bottom xs

@@ -24,6 +24,14 @@ type 'a t = {
 val pp : 'a t -> Format.formatter -> 'a -> unit
 (** [pp l] is a pretty-printer for elements of [l]. *)
 
+val of_string_or_top : 'a t -> string -> 'a
+(** [of_string_or_top l name] is the element [name] denotes, or [l.top]
+    when it denotes none. This is how every analysis reads the class
+    named by a [declassify]: an unresolvable name conservatively counts
+    as the most secret class, so the data it labels can flow nowhere
+    lower. Callers that must report an unknown name as an error use
+    [l.of_string] instead. *)
+
 val mem : 'a t -> 'a -> bool
 (** [mem l x] is true iff [x] is an element of [l]. *)
 

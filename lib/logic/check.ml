@@ -74,9 +74,7 @@ let check ?(entailer = `Syntactic) ?(interference = `Check) (l : 'a Lattice.t) p
     | Proof.Axiom_assign, Ast.Declassify (x, _, cls) ->
       (* Declassification axiom: the named class replaces the expression's
          class in the substitution. *)
-      let named =
-        match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top
-      in
+      let named = Lattice.of_string_or_top l cls in
       let rhs = Cexpr.Join (Cexpr.Const named, Cexpr.Join (Cexpr.Local, Cexpr.Global)) in
       expect_equal span "declassify" "pre must be post[x <- C(+)local(+)global]" p.pre
         (Assertion.subst (write_subst x rhs) p.post)

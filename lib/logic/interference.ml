@@ -15,7 +15,7 @@ let writes (l : 'a Lattice.t) (s : Ast.stmt) =
   match s.Ast.node with
   | Ast.Assign (x, e) -> [ (x, Cexpr.of_expr l e) ]
   | Ast.Declassify (x, _, cls) ->
-    let named = match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top in
+    let named = Lattice.of_string_or_top l cls in
     [ (x, Cexpr.Const named) ]
   | Ast.Store (a, i, e) ->
     [ (a, Cexpr.Join (Cexpr.Cls a, Cexpr.Join (Cexpr.of_expr l i, Cexpr.of_expr l e))) ]

@@ -57,11 +57,7 @@ let theorem1 ?l:l0 ?g:g0 binding stmt =
       in
       (strengthen_pre ~pre:(state l g) axiom, g)
     | Ast.Declassify (x, _, cls) ->
-      let named =
-        match lat.Lattice.of_string cls with
-        | Ok c -> c
-        | Error _ -> lat.Lattice.top
-      in
+      let named = Lattice.of_string_or_top lat cls in
       let post = state l g in
       let rhs =
         Cexpr.Join (Cexpr.Const named, Cexpr.Join (Cexpr.Local, Cexpr.Global))

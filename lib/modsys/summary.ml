@@ -75,9 +75,7 @@ let domain l bind imports constraints =
     top = { floor = l.Lattice.top; under = Sset.empty };
     expr;
     name;
-    const =
-      (fun cls ->
-        const (match l.Lattice.of_string cls with Ok c -> c | Error _ -> l.Lattice.top));
+    const = (fun cls -> const (Lattice.of_string_or_top l cls));
     target =
       (fun x ->
         if Sset.mem x imports then { floor = l.Lattice.top; under = Sset.singleton x }

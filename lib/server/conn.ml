@@ -1,5 +1,5 @@
-(* Endpoints, the bounded newline-delimited reader, and the
-   per-connection serve loop shared by server and client. *)
+(* Endpoints, the bounded newline-delimited reader, and the line
+   writer shared by server and client. *)
 
 (* ------------------------------------------------------------------ *)
 (* Endpoints *)
@@ -153,16 +153,3 @@ let write_line fd line =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   try go 0 with Unix.Unix_error _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* The serve loop *)
-
-let serve ~limits ~should_stop ~handle fd =
-  let r = reader ~max_bytes:limits.Limits.max_request_bytes fd in
-  let rec loop () =
-    match next_line ~should_stop r with
-    | `Eof | `Stop -> ()
-    | `Line l -> if write_line fd (handle (`Line l)) then loop ()
-    | `Oversized -> if write_line fd (handle `Oversized) then loop ()
-  in
-  loop ()

@@ -1,11 +1,12 @@
 (** Socket plumbing shared by the daemon and its clients: endpoint
-    addressing, a bounded newline-delimited reader, and the
-    one-request-per-line serve loop.
+    addressing, a bounded newline-delimited reader with a blocking
+    ({!next_line}, for clients) and a nonblocking ({!feed_fd} and
+    {!pop_item}, for the server's shard event loops) face, and a
+    whole-line writer.
 
-    Everything here polls: blocking reads are [select] loops with a
-    short timeout and a [should_stop] callback, which is what lets a
-    draining server close idle connections without killing in-flight
-    requests, and lets [EINTR] (signal delivery) never surface. *)
+    Nothing here blocks indefinitely: {!next_line} is a [select] loop
+    with a short timeout and a [should_stop] callback, and [EINTR]
+    (signal delivery) never surfaces. *)
 
 type endpoint = Unix_socket of string | Tcp of string * int
 (** Where a server listens or a client connects. [Tcp (host, 0)] asks
@@ -60,16 +61,3 @@ val at_eof : reader -> bool
 val write_line : Unix.file_descr -> string -> bool
 (** Writes [line ^ "\n"] fully; [false] if the peer is gone ([EPIPE]
     and friends), which callers treat as end-of-connection. *)
-
-(** {1 Serving} *)
-
-val serve :
-  limits:Limits.t ->
-  should_stop:(unit -> bool) ->
-  handle:(item -> string) ->
-  Unix.file_descr ->
-  unit
-(** The connection loop: read one request item, write [handle item] as
-    one response line, repeat until EOF, a dead peer, or [should_stop].
-    The stop check only fires {e between} requests — an accepted request
-    always gets its response, which is the drain guarantee. *)

@@ -1,11 +1,11 @@
-(* The classification result shared by the server's two connection
-   engines (the legacy thread-per-connection loop and the sharded event
-   loop), kept in its own module so Shard does not depend on Server.
+(* The classification result shared by the sharded event loops and the
+   blocking [Server.handle] adapter, kept in its own module so Shard
+   does not depend on Server.
 
    Classifying a request either produces the complete response line on
    the spot (cache hits, protocol errors, ping/stats, inline cert
-   checks), or a pooled job: a handle the connection engine can submit
-   to the worker pool, race against its deadline, and refuse under
+   checks), or a pooled job: a handle the caller can submit to the
+   worker pool, race against its deadline, and refuse under
    per-connection backpressure. Exactly one of {completion, timeout}
    renders the response — the two sides race through an internal
    once-flag, which is why [timeout] can answer [None]. *)
@@ -17,7 +17,7 @@ type pooled = {
   cancelled : bool Atomic.t;
       (* Cooperative cancellation: set before a worker picks the job up
          and the job is never executed at all. The [timeout] callback
-         sets it; engines killing a dead connection set it directly. *)
+         sets it; a shard killing a dead connection sets it directly. *)
   submit : complete:(string -> unit) -> unit;
       (* Hand the job to the worker pool. [complete] is called at most
          once, from the worker, with the final accounted response line;

@@ -27,8 +27,8 @@ val default : t
     pipelined requests per connection, no deadline. *)
 
 val fd_setsize : int
-(** [1024]: the select(2) fd-set capacity the connection engines are
-    subject to. A descriptor numbered [fd_setsize] or above makes
+(** [1024]: the select(2) fd-set capacity the shard event loops and
+    the load generator's clients are subject to. A descriptor numbered [fd_setsize] or above makes
     [Unix.select] fail with a raw [EINVAL]. *)
 
 val check_fd_budget : what:string -> int -> (unit, string) result

@@ -1,19 +1,22 @@
 (* Differential server oracle: the same request stream must produce the
-   same verdicts from the legacy thread-per-connection engine
-   ([shards = 0]) and the sharded pipelined engine.
+   same verdicts from an in-process serial reference and from the
+   sharded pipelined engine.
 
    A seeded generator builds a stream of check/cert/lint/ping requests
    (plus envelope errors) with distinct correlation ids. The stream is
-   replayed serially against a legacy server and pipelined (window of
-   in-flight requests, several connections) against a sharded server;
+   fed one line at a time through [Server.handle] of a fresh reference
+   server that never accepts a connection, and replayed pipelined
+   (window of in-flight requests, several connections) over sockets
+   against a second, independent server with its own cache and pool;
    responses are canonicalised — timing ([duration_ns]) and cache
    disposition ([cache]) fields stripped, since identical concurrent
    requests may legitimately race the cache — and compared byte for
-   byte per id. Any divergence is a bug in one engine or the other. *)
+   byte per id. Any divergence is a bug in the sharded transport or in
+   the classification core the two share. *)
 
 module J = Ifc_pipeline.Telemetry
 
-type divergence = { id : int; request : string; legacy : string; sharded : string }
+type divergence = { id : int; request : string; reference : string; sharded : string }
 
 type result_t = {
   requests : int;
@@ -32,7 +35,7 @@ let gen_line rng i =
   | 0 | 1 | 2 | 3 -> Protocol.check_line ~id ~name:"oracle" program
   | 4 | 5 ->
     (* A leaky program: verdicts must disagree with the clean variant
-       identically on both engines. *)
+       identically on both servers. *)
     Protocol.check_line ~id ~name:"oracle"
       ~binding:"h : high\nx : low\ny : low"
       (Printf.sprintf
@@ -68,22 +71,6 @@ let rec strip json =
 
 (* ------------------------------------------------------------------ *)
 (* Replay *)
-
-(* Serial replay over one connection: the reference transcript. *)
-let replay_serial endpoint stream =
-  Client.with_client ~retry_for:5. endpoint (fun client ->
-      let responses = Hashtbl.create (List.length stream) in
-      let rec go = function
-        | [] -> Ok responses
-        | (i, line) :: rest -> (
-          match Client.request client line with
-          | Ok json ->
-            Hashtbl.replace responses i (J.json_to_string (strip json));
-            go rest
-          | Error msg ->
-            Error (Printf.sprintf "serial replay broke at id %d: %s" i msg))
-      in
-      go stream)
 
 (* Pipelined replay: the stream is dealt round-robin over [conns]
    connections, each keeping [window] requests in flight. *)
@@ -153,6 +140,9 @@ let replay_pipelined ?(conns = 4) ?(window = 16) endpoint stream =
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
+(* A fresh server with its own cache and pool on a temporary Unix
+   socket; [f] owns its lifecycle, and the socket file is removed
+   afterwards. *)
 let with_server ~shards ~workers f =
   let sock = Filename.temp_file "ifc-oracle" ".sock" in
   let config =
@@ -164,49 +154,75 @@ let with_server ~shards ~workers f =
       cache_capacity = 256;
     }
   in
+  Fun.protect ~finally:(fun () -> try Sys.remove sock with Sys_error _ -> ())
+  @@ fun () ->
   match Server.create config with
   | Error msg -> Error msg
-  | Ok server ->
-    let thread = Thread.create Server.run server in
-    Fun.protect
-      ~finally:(fun () ->
-        Server.request_stop server;
-        Thread.join thread;
-        try Sys.remove sock with Sys_error _ -> ())
-      (fun () -> f (Conn.Unix_socket sock))
+  | Ok server -> f server (Conn.Unix_socket sock)
+
+(* The reference transcript: a server of its own (sharing a cache or
+   pool with the server under test would read the reference's results
+   back) driven serially through [Server.handle]. Its accept loop is
+   only entered once the stream is done, to drain it. One worker
+   suffices, since at most one job is ever outstanding. *)
+let replay_reference stream =
+  with_server ~shards:1 ~workers:1 @@ fun server _endpoint ->
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_stop server;
+      Server.run server)
+  @@ fun () ->
+  let responses = Hashtbl.create (List.length stream) in
+  let rec go = function
+    | [] -> Ok responses
+    | (i, line) :: rest -> (
+      match Jsonx.parse (Server.handle server (`Line line)) with
+      | Ok json ->
+        Hashtbl.replace responses i (J.json_to_string (strip json));
+        go rest
+      | Error msg ->
+        Error (Printf.sprintf "response to id %d is not JSON: %s" i msg))
+  in
+  go stream
+
+(* The transcript under test: the sharded engine serving the pipelined
+   replay over its socket. *)
+let replay_sharded ~shards ~workers stream =
+  with_server ~shards ~workers @@ fun server endpoint ->
+  let thread = Thread.create Server.run server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_stop server;
+      Thread.join thread)
+    (fun () -> replay_pipelined endpoint stream)
+
+(* ------------------------------------------------------------------ *)
+(* Comparison *)
+
+let diff stream ~reference ~sharded =
+  let response transcript i =
+    Option.value ~default:"<no response>" (Hashtbl.find_opt transcript i)
+  in
+  List.filter_map
+    (fun (i, request) ->
+      let r = response reference i and s = response sharded i in
+      if r = s then None else Some { id = i; request; reference = r; sharded = s })
+    stream
 
 let run ?(seed = 42) ?(requests = 500) ?(shards = 2) ?(workers = 2) () =
   let stream = gen_stream ~seed ~requests in
-  let legacy =
-    with_server ~shards:0 ~workers (fun endpoint ->
-        replay_serial endpoint stream)
-  in
-  match legacy with
-  | Error msg -> Error ("legacy engine: " ^ msg)
-  | Ok legacy_responses -> (
-    let sharded =
-      with_server ~shards ~workers (fun endpoint ->
-          replay_pipelined endpoint stream)
-    in
-    match sharded with
+  match replay_reference stream with
+  | Error msg -> Error ("reference: " ^ msg)
+  | Ok reference -> (
+    match replay_sharded ~shards ~workers stream with
     | Error msg -> Error ("sharded engine: " ^ msg)
-    | Ok sharded_responses ->
-      let divergences =
-        List.filter_map
-          (fun (i, request) ->
-            let missing = "<no response>" in
-            let l =
-              Option.value ~default:missing
-                (Hashtbl.find_opt legacy_responses i)
-            and s =
-              Option.value ~default:missing
-                (Hashtbl.find_opt sharded_responses i)
-            in
-            if l = s then None
-            else Some { id = i; request; legacy = l; sharded = s })
-          stream
-      in
-      Ok { requests; compared = List.length stream; divergences })
+    | Ok sharded ->
+      Ok
+        {
+          requests;
+          compared = List.length stream;
+          divergences = diff stream ~reference ~sharded;
+        })
 
 let report_fields r =
   [
@@ -223,7 +239,7 @@ let report_fields r =
                   [
                     ("id", J.Int d.id);
                     ("request", J.String d.request);
-                    ("legacy", J.String d.legacy);
+                    ("reference", J.String d.reference);
                     ("sharded", J.String d.sharded);
                   ])
               r.divergences)) );

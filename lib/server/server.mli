@@ -11,18 +11,18 @@
     {!Ifc_pipeline.Telemetry} (counters, a latency histogram, an
     optional JSONL request log, and the [stats] operation).
 
-    Two connection engines share one classification core. The default
-    sharded engine runs [shards] event-loop threads, each owning the
-    read/write buffers of the connections dealt to it, batching NDJSON
-    reads and writes and dispatching pipelined requests concurrently.
-    Setting [shards = 0] selects the legacy thread-per-connection
-    engine — retained as the reference implementation the differential
-    server oracle replays request streams against.
+    Connections are served by [shards] event-loop threads, each owning
+    the read/write buffers of the connections dealt to it, batching
+    NDJSON reads and writes and dispatching pipelined requests
+    concurrently. {!handle} drives the same classification core one
+    request at a time without sockets; the differential server oracle
+    ({!Oracle}) replays request streams through it as its serial
+    reference.
 
     Lifecycle: {!create} binds the sockets, {!run} serves until
     {!request_stop} (typically from a SIGINT/SIGTERM handler — it only
     flips an atomic, so it is safe in a signal handler), then drains:
-    in-flight requests complete and are answered, connection threads and
+    in-flight requests complete and are answered, shard threads and
     worker domains are joined, the request log is flushed and closed,
     and Unix socket files are unlinked. *)
 
@@ -30,9 +30,8 @@ type config = {
   endpoints : Conn.endpoint list;  (** At least one. *)
   workers : int;  (** Worker domains for the job pool. *)
   shards : int;
-      (** Connection-shard event loops. [0] selects the legacy
-          thread-per-connection engine. The shared cache is striped
-          [max 1 shards] ways. *)
+      (** Connection-shard event loops, at least one. The shared cache
+          is striped [shards] ways. *)
   cache_capacity : int;  (** Shared LRU result cache entries. *)
   limits : Limits.t;
   log : Ifc_pipeline.Telemetry.sink option;
@@ -56,7 +55,9 @@ type t
 val create : config -> (t, string) result
 (** Binds and listens on every endpoint (stale Unix socket files are
     unlinked first), spawns the worker pool, and ignores [SIGPIPE]
-    process-wide (a dead client must be an [EPIPE], not a crash). *)
+    process-wide (a dead client must be an [EPIPE], not a crash).
+    [Error] when there is no endpoint, no worker or no shard, or a bind
+    fails. *)
 
 val port : t -> int option
 (** The actual port of the first TCP endpoint — useful after binding
@@ -74,6 +75,6 @@ val request_stop : t -> unit
 val stopped : t -> bool
 
 val handle : t -> Conn.item -> string
-(** One request item in, one response line out — the connection loop's
-    handler, exposed so embedders and tests can drive a server without
-    sockets. *)
+(** One request item in, one response line out: {!run}'s
+    classification core behind a blocking wait, so embedders, tests and
+    the oracle's reference can drive a server without sockets. *)

@@ -32,7 +32,11 @@ let test_chain_parse () =
   (match l.of_string "secret" with
   | Ok c -> check_string "roundtrip" "secret" (l.to_string c)
   | Error e -> Alcotest.fail e);
-  check "unknown class rejected" true (Result.is_error (l.of_string "zebra"))
+  check "unknown class rejected" true (Result.is_error (l.of_string "zebra"));
+  check_string "known class resolves" "confidential"
+    (l.to_string (Lattice.of_string_or_top l "confidential"));
+  check "unknown class counts as top" true
+    (l.equal l.top (Lattice.of_string_or_top l "zebra"))
 
 let test_chain_order () =
   let l = Chain.four in

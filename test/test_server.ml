@@ -1054,6 +1054,20 @@ let test_fd_setsize_guard () =
     Server.request_stop server;
     Alcotest.fail "server accepted max_connections above FD_SETSIZE"
 
+let test_create_rejects_zero_shards () =
+  let sock = temp_sock () in
+  let config =
+    { Server.default_config with Server.endpoints = [ Conn.Unix_socket sock ]; shards = 0 }
+  in
+  let result = Server.create config in
+  (try Sys.remove sock with Sys_error _ -> ());
+  match result with
+  | Error msg -> check_str "refusal" "server needs at least one shard" msg
+  | Ok server ->
+    Server.request_stop server;
+    Server.run server;
+    Alcotest.fail "server accepted a shard count of 0"
+
 let test_modsys_ops () =
   with_server ~workers:1 @@ fun _endpoint server ->
   let handle line = Server.handle server (`Line line) in
@@ -1262,9 +1276,10 @@ let test_oversized_mid_pipeline () =
   check_int "one oversized refusal" 1 (count "oversized")
 
 let test_oracle_engines_agree () =
-  (* The acceptance oracle: a 500-request seeded stream replayed
-     serially against the legacy engine and pipelined against the
-     sharded engine produces byte-identical responses per id. *)
+  (* The acceptance oracle: a 500-request seeded stream fed serially
+     through the in-process reference's [Server.handle] and replayed
+     pipelined against the sharded engine produces byte-identical
+     responses per id. *)
   match Ifc_server.Oracle.run ~requests:500 () with
   | Error msg -> Alcotest.fail msg
   | Ok r ->
@@ -1272,9 +1287,44 @@ let test_oracle_engines_agree () =
     (match r.Ifc_server.Oracle.divergences with
     | [] -> ()
     | d :: _ ->
-      Alcotest.failf "engines diverged at id %d:\n  request %s\n  legacy  %s\n  sharded %s"
+      Alcotest.failf "transcripts diverged at id %d:\n  request   %s\n  reference %s\n  sharded   %s"
         d.Ifc_server.Oracle.id d.Ifc_server.Oracle.request
-        d.Ifc_server.Oracle.legacy d.Ifc_server.Oracle.sharded)
+        d.Ifc_server.Oracle.reference d.Ifc_server.Oracle.sharded)
+
+(* The oracle's comparison must actually see a divergence: a planted
+   changed response is reported with exactly its id, a dropped one as
+   [<no response>], and identical transcripts report nothing. *)
+let test_oracle_diff_detects_divergence () =
+  let module O = Ifc_server.Oracle in
+  let stream = O.gen_stream ~seed:7 ~requests:20 in
+  let transcript () =
+    let t = Hashtbl.create 20 in
+    List.iter
+      (fun (i, _) -> Hashtbl.replace t i (Printf.sprintf {|{"id":%d,"ok":true}|} i))
+      stream;
+    t
+  in
+  let reference = transcript () in
+  let only = function
+    | [ d ] -> d
+    | ds ->
+      Alcotest.failf "expected one divergence, got ids [%s]"
+        (String.concat "; " (List.map (fun d -> string_of_int d.O.id) ds))
+  in
+  check "identical transcripts agree" true
+    (O.diff stream ~reference ~sharded:(transcript ()) = []);
+  let changed = transcript () in
+  Hashtbl.replace changed 13 {|{"id":13,"ok":false}|};
+  let d = only (O.diff stream ~reference ~sharded:changed) in
+  check_int "changed id" 13 d.O.id;
+  check_str "request carried" (List.assoc 13 stream) d.O.request;
+  check_str "reference side" {|{"id":13,"ok":true}|} d.O.reference;
+  check_str "sharded side" {|{"id":13,"ok":false}|} d.O.sharded;
+  let missing = transcript () in
+  Hashtbl.remove missing 4;
+  let d = only (O.diff stream ~reference ~sharded:missing) in
+  check_int "missing id" 4 d.O.id;
+  check_str "missing reads as no response" "<no response>" d.O.sharded
 
 (* QCheck: on a pipelined connection, every request is answered exactly
    once with a response correlated to its id and carrying its op — no
@@ -1391,6 +1441,7 @@ let suite =
       quick "version gate exhaustive" test_version_gate_exhaustive;
       quick "modsys ops over the wire" test_modsys_ops;
       quick "FD_SETSIZE guard" test_fd_setsize_guard;
+      quick "create rejects zero shards" test_create_rejects_zero_shards;
       quick "pipelined responses out of order" test_pipelined_out_of_order;
       quick "serial clients stay ordered" test_serial_clients_stay_ordered;
       quick "backpressure refuses over max-inflight" test_backpressure_inflight_cap;
@@ -1398,6 +1449,7 @@ let suite =
       quick "mid-pipeline disconnect is harmless" test_mid_pipeline_disconnect;
       quick "oversized mid-pipeline request" test_oversized_mid_pipeline;
       quick "differential oracle: engines agree" test_oracle_engines_agree;
+      quick "oracle diff detects a divergence" test_oracle_diff_detects_divergence;
       pipelined_framing_test ~shards:1;
       pipelined_framing_test ~shards:2;
       pipelined_framing_test ~shards:4;
